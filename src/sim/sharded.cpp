@@ -28,19 +28,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "control/actuator.h"
-#include "cp/lifecycle.h"
-#include "obs/audit.h"
 #include "obs/counters.h"
-#include "obs/timeseries.h"
 #include "power/power_model.h"
 #include "sim/admission.h"
-#include "sim/control_channel.h"
+#include "sim/control_loop.h"
 #include "sim/server.h"
 #include "stats/accumulators.h"
 #include "stats/log_histogram.h"
@@ -57,13 +54,13 @@ constexpr std::size_t kNumEventTypes =
 // -- RNG stream derivation (DESIGN.md §11.4) --------------------------------
 // Every stochastic draw belongs to a stream addressed by (base seed, global
 // server index), so the sequence any one server consumes is independent of
-// how the fleet is sharded.  The control-plane seeds reuse the sequential
-// engine's salts; the admission salt is sharded-only (the sequential engine
-// sheds from one global stream, which is inherently order-dependent).
-constexpr std::uint64_t kControlSeedSalt = 0x5ca1ab1ec0ffeeULL;  // = run_simulation
+// how the fleet is sharded.  The control-plane streams are drawn by the
+// shared control loop (sim/control_loop.h) on the orchestrator thread; the
+// fault salt and admission stream reuse the sequential engine's, and the
+// admission salt is sharded-only (the sequential engine sheds from one
+// global stream, which is inherently order-dependent).
 constexpr std::uint64_t kFaultSeedSalt = 0xfa7a17f00dULL;        // = run_simulation
 constexpr std::uint64_t kAdmitSeedSalt = 0xad317755ULL;          // sharded-only
-constexpr std::uint64_t kActuatorRngStream = 14;                 // = run_simulation
 constexpr std::uint64_t kAdmissionRngStream = 7;                 // = run_simulation
 
 // Index of the first arrival in block b*m + [rank0, rank0 + width) at or
@@ -560,19 +557,172 @@ struct Shard {
   }
 };
 
-struct TelemetrySnapshot {
-  double sample_time = 0.0;
-  double rate = 0.0;
-  unsigned serving = 0;
-  unsigned committed = 0;
-  unsigned powered = 0;
-  unsigned available = 0;
-  std::uint64_t jobs = 0;
-};
+// The orchestrator's view of the K shards: O(K) integer fleet totals,
+// canonical-order floating-point folds and the fan-out of commanded targets
+// and speeds.  It is the sharded engine's side of the control loop
+// (sim/control_loop.h); every method runs on the orchestrator thread at a
+// barrier.
+struct ShardedFleet final : ControlLoop::Fleet {
+  std::vector<std::unique_ptr<Shard>> shards;
+  ThreadPool* pool = nullptr;
+  unsigned num_servers = 0;
+  unsigned shard_base = 0;   // contiguous ranges: the first shard_extra
+  unsigned shard_extra = 0;  // shards hold shard_base + 1 servers
+  const WearModel* wear = nullptr;
+  EventQueue* orchestrator = nullptr;
+  // Engine state the totals read.
+  std::size_t cursor = 0;  // arrivals consumed (times strictly < now)
+  // Arrivals landing in a window with an empty global serving set are
+  // dropped at the orchestrator (no per-server stream exists to charge).
+  std::uint64_t orphaned_arrivals = 0;
+  // The last applied speed command and its time average.
+  double commanded_speed = 1.0;
+  TimeWeightedAccumulator speed_avg{0.0};
+  // Window-fold scratch.
+  std::vector<std::uint32_t> touched_scratch;
+  LogHistogram window_hist_merged;
 
-struct AckMessage {
-  CommandKind kind = CommandKind::kTarget;
-  std::uint64_t gen = 0;
+  void parallel(const std::function<void(std::size_t)>& body) {
+    if (shards.size() == 1) {
+      body(0);
+    } else {
+      pool->parallel_for_index(shards.size(), body);
+    }
+  }
+
+  // Maps a global server index to its owning shard.
+  [[nodiscard]] Shard& shard_of(std::uint32_t gi) const {
+    const std::uint32_t boundary = shard_extra * (shard_base + 1);
+    const std::uint32_t k = gi < boundary ? gi / (shard_base + 1)
+                                          : shard_extra + (gi - boundary) / shard_base;
+    return *shards[k];
+  }
+
+  template <typename Fn>
+  [[nodiscard]] std::uint64_t sum(Fn&& per_shard) const {
+    std::uint64_t n = 0;
+    for (const auto& s : shards) n += per_shard(*s);
+    return n;
+  }
+  [[nodiscard]] std::uint64_t admitted_total() const {
+    return sum([](const Shard& s) { return s.admitted; }) + orphaned_arrivals;
+  }
+  [[nodiscard]] std::uint64_t shed_total() const {
+    return sum([](const Shard& s) { return s.shed; });
+  }
+  [[nodiscard]] std::uint64_t dropped_total() const {
+    return sum([](const Shard& s) { return s.dropped; }) + orphaned_arrivals;
+  }
+
+  // Fold + reset the per-record-window response mean, in ascending
+  // global-index order.
+  [[nodiscard]] double take_record_window() {
+    touched_scratch.clear();
+    for (const auto& s : shards) {
+      touched_scratch.insert(touched_scratch.end(), s->record_touched.begin(),
+                             s->record_touched.end());
+      s->record_touched.clear();
+    }
+    std::sort(touched_scratch.begin(), touched_scratch.end());
+    double total = 0.0;
+    std::uint64_t count = 0;
+    for (const std::uint32_t gi : touched_scratch) {
+      Shard& s = shard_of(gi);
+      PerServerStats& ps = s.stats[gi - s.first];
+      total += ps.record_sum;
+      count += ps.record_count;
+      ps.record_sum = 0.0;
+      ps.record_count = 0;
+    }
+    return count > 0 ? total / static_cast<double>(count) : 0.0;
+  }
+
+  // -- ControlLoop::Fleet ----------------------------------------------------
+  unsigned size() const override { return num_servers; }
+  State state() const override {
+    State st;
+    for (const auto& s : shards) {
+      st.serving += s->serving_count();
+      st.committed += s->committed_count();
+      st.powered += s->powered;
+      st.available += s->available_count();
+      st.jobs += s->jobs;
+    }
+    return st;
+  }
+  Totals totals() const override {
+    return {cursor, admitted_total(), shed_total(),
+            sum([](const Shard& s) { return s.boots; }),
+            sum([](const Shard& s) { return s.shutdowns; })};
+  }
+  double power_w() const override {
+    // Shards are contiguous ascending ranges, so this is the canonical
+    // global-server-index fold.
+    double watts = 0.0;
+    for (const auto& s : shards) {
+      for (const Server& server : s->servers) watts += server.instantaneous_power();
+    }
+    return watts;
+  }
+  double speed() const override { return commanded_speed; }
+  double wear_mean() const override {
+    if (!wear->enabled()) return 0.0;
+    double total = 0.0;
+    for (const auto& s : shards) {
+      for (std::uint32_t li = 0; li < s->size(); ++li) {
+        total += wear->wear_fraction(s->server_boots[li], s->server_shutdowns[li]);
+      }
+    }
+    return total / static_cast<double>(num_servers);
+  }
+  // Fold + reset the per-tick response window across shards.  The mean is
+  // folded from per-server sums in ascending global-index order.
+  PeriodWindowStats take_period_window() override {
+    std::uint64_t violations = 0;
+    PeriodWindowStats w;
+    window_hist_merged.clear();
+    touched_scratch.clear();
+    for (const auto& s : shards) {
+      w.completed += s->window_completed;
+      violations += s->window_violations;
+      window_hist_merged.merge(s->window_hist);
+      touched_scratch.insert(touched_scratch.end(), s->window_touched.begin(),
+                             s->window_touched.end());
+      s->window_hist.clear();
+      s->window_completed = 0;
+      s->window_violations = 0;
+      s->window_touched.clear();
+    }
+    std::sort(touched_scratch.begin(), touched_scratch.end());
+    double total = 0.0;
+    for (const std::uint32_t gi : touched_scratch) {
+      Shard& s = shard_of(gi);
+      PerServerStats& ps = s.stats[gi - s.first];
+      total += ps.window_sum;
+      ps.window_sum = 0.0;
+      ps.window_count = 0;
+    }
+    if (w.completed > 0) {
+      w.mean_s = total / static_cast<double>(w.completed);
+      w.p95_s = window_hist_merged.quantile(0.95);
+      w.p99_s = window_hist_merged.quantile(0.99);
+      w.violation_fraction =
+          static_cast<double>(violations) / static_cast<double>(w.completed);
+    }
+    return w;
+  }
+  void apply_target(double now, unsigned target) override {
+    const unsigned clamped = std::clamp(target, 1u, num_servers);
+    parallel([&](std::size_t k) { shards[k]->reconcile(now, clamped); });
+  }
+  void apply_speed(double now, double speed) override {
+    speed_avg.advance(now, commanded_speed);
+    commanded_speed = speed;
+    parallel([&](std::size_t k) { shards[k]->set_speed_all(now, speed); });
+  }
+  void schedule(double at, EventType type, std::uint32_t subject) override {
+    orchestrator->schedule(at, type, subject);
+  }
 };
 
 }  // namespace
@@ -587,13 +737,9 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(cluster.num_servers > 0, "sharded: cluster must have servers");
   GC_CHECK(cluster.groups.empty(),
            "sharded: heterogeneous server groups are sequential-only");
-  GC_CHECK(!options.controller_faults.enabled(),
-           "sharded: controller outages are sequential-only");
   GC_CHECK(sharded.num_shards >= 1, "sharded: num_shards must be >= 1");
   if (options.faults.enabled()) options.faults.validate();
   options.admission.validate();
-  options.channel.validate();
-  options.actuator.validate();
 
   const unsigned num_servers = cluster.num_servers;
   const unsigned num_shards = std::min(sharded.num_shards, num_servers);
@@ -602,7 +748,6 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     sharded.profile->barrier_wall_s = 0.0;
     sharded.profile->barriers = 0;
   }
-  ThreadPool& pool = sharded.pool != nullptr ? *sharded.pool : global_pool();
   const std::vector<double>& arrivals = trace.timestamps();
 
   const double t_short = controller.short_period_s();
@@ -610,32 +755,28 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(t_short > 0.0 && t_long > 0.0,
            "sharded: controller periods must be positive");
 
-  const std::uint64_t control_seed = cluster.dispatch_seed ^ kControlSeedSalt;
   const std::uint64_t fault_seed = options.faults.seed != 0
                                        ? options.faults.seed
                                        : cluster.dispatch_seed ^ kFaultSeedSalt;
-  ControlChannel channel(options.channel, control_seed);
-  CommandActuator actuator(options.actuator,
-                           Rng(control_seed, kActuatorRngStream));
-  // Causal lifecycle tracker (cp/lifecycle.h).  Every transition it records
-  // happens on the orchestrator thread between barriers, so its histograms
-  // and counters are deterministic and K-invariant — the shard-determinism
-  // suite's counters equality across K covers them.
-  LifecycleTracker lifecycle;
-  lifecycle.set_expect_acks(actuator.enabled());
-  lifecycle.set_expect_applies(true);
   // The orchestrator instance only computes the admit probability; the
   // per-arrival draws happen shard-side from per-server streams.
   AdmissionController admission(options.admission, options.t_ref_s,
                                 Rng(cluster.dispatch_seed, kAdmissionRngStream));
+  const WearModel wear(options.reliability);
+  EventQueue orchestrator;
 
   const unsigned initial_active = std::min(cluster.initial_active, num_servers);
 
   // -- shard construction ---------------------------------------------------
-  // Contiguous ranges: the first (num_servers % K) shards get one extra.
-  const unsigned shard_base = num_servers / num_shards;
-  const unsigned shard_extra = num_servers % num_shards;
-  std::vector<std::unique_ptr<Shard>> shards;
+  ShardedFleet fleet;
+  fleet.pool = sharded.pool != nullptr ? sharded.pool : &global_pool();
+  fleet.num_servers = num_servers;
+  fleet.shard_base = num_servers / num_shards;
+  fleet.shard_extra = num_servers % num_shards;
+  fleet.wear = &wear;
+  fleet.orchestrator = &orchestrator;
+  fleet.commanded_speed = cluster.initial_speed;
+  std::vector<std::unique_ptr<Shard>>& shards = fleet.shards;
   shards.reserve(num_shards);
   {
     std::uint32_t next_first = 0;
@@ -643,7 +784,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       auto shard = std::make_unique<Shard>();
       Shard& s = *shard;
       s.first = next_first;
-      s.last = next_first + shard_base + (k < shard_extra ? 1 : 0);
+      s.last = next_first + fleet.shard_base + (k < fleet.shard_extra ? 1 : 0);
       next_first = s.last;
       s.power_model = PowerModel(cluster.power);
       s.transition_model = cluster.transition;
@@ -731,72 +872,12 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     }
   }
 
-  auto parallel_shards = [&](const std::function<void(std::size_t)>& body) {
-    if (num_shards == 1) {
-      body(0);
-    } else {
-      pool.parallel_for_index(num_shards, body);
-    }
-  };
-
-  // Maps a global server index to its owning shard (contiguous ranges).
-  auto shard_of = [&](std::uint32_t gi) -> Shard& {
-    const std::uint32_t boundary = shard_extra * (shard_base + 1);
-    const std::uint32_t k = gi < boundary
-                                ? gi / (shard_base + 1)
-                                : shard_extra + (gi - boundary) / shard_base;
-    return *shards[k];
-  };
-
-  // -- fleet totals (O(K) integer sums; K-invariant) ------------------------
-  auto serving_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->serving_count();
-    return n;
-  };
-  auto committed_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->committed_count();
-    return n;
-  };
-  auto powered_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->powered;
-    return n;
-  };
-  auto available_total = [&] {
-    unsigned n = 0;
-    for (const auto& s : shards) n += s->available_count();
-    return n;
-  };
-  auto jobs_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->jobs;
-    return n;
-  };
-  auto fold_power = [&] {
-    // Canonical order: shards are contiguous ascending ranges, so this is
-    // the global-server-index fold.
-    double watts = 0.0;
-    for (const auto& s : shards) {
-      for (const Server& server : s->servers) watts += server.instantaneous_power();
-    }
-    return watts;
-  };
-
-  // -- orchestrator state ---------------------------------------------------
-  EventQueue orchestrator;
+  // The control loop (sim/control_loop.h) runs on the orchestrator thread
+  // between barriers, so everything it records is K-invariant.
+  ControlLoop control(controller, options, cluster.dispatch_seed, admission, fleet);
   std::array<std::uint64_t, kNumEventTypes> orchestrator_events{};
-  SlotStore<TelemetrySnapshot> telemetry_store;
-  SlotStore<Command> command_store;
-  SlotStore<AckMessage> ack_store;
 
   double now = 0.0;
-  std::size_t cursor = 0;  // arrivals consumed (times strictly < now)
-  // Arrivals landing in a window with an empty global serving set are
-  // dropped at the orchestrator (no per-server stream exists to charge).
-  std::uint64_t orphaned_arrivals = 0;
-
   std::size_t window_m = 0;
   std::vector<std::size_t> window_rank0(num_shards, 0);
 
@@ -814,12 +895,12 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       rank += s.frozen.size();
     }
     window_m = rank;
-    const std::size_t lo = cursor;
+    const std::size_t lo = fleet.cursor;
     const std::size_t hi = static_cast<std::size_t>(
         std::lower_bound(arrivals.begin() + static_cast<std::ptrdiff_t>(lo),
                          arrivals.end(), barrier) -
         arrivals.begin());
-    if (window_m == 0) orphaned_arrivals += hi - lo;
+    if (window_m == 0) fleet.orphaned_arrivals += hi - lo;
     const std::size_t arrivals_hi = window_m == 0 ? lo : hi;
     if (ShardProfile* prof = sharded.profile; prof != nullptr) {
       // Self-profiled path: per-shard busy time is read inside the worker
@@ -828,7 +909,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       // readings never feed the simulation or SimResult.
       using clock = std::chrono::steady_clock;
       const auto wall0 = clock::now();
-      parallel_shards([&](std::size_t k) {
+      fleet.parallel([&](std::size_t k) {
         const auto t0 = clock::now();
         shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
                               window_rank0[k]);
@@ -839,461 +920,26 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
           std::chrono::duration<double>(clock::now() - wall0).count();
       ++prof->barriers;
     } else {
-      parallel_shards([&](std::size_t k) {
+      fleet.parallel([&](std::size_t k) {
         shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
                               window_rank0[k]);
       });
     }
-    cursor = hi;
+    fleet.cursor = hi;
     now = barrier;
-  };
-
-  // Telemetry acceptance: newest-sample-wins, reordered samples discarded.
-  // Seeded from the t = 0 ground truth so a dropped first sample still
-  // leaves the controller something coherent to look at.
-  TelemetrySnapshot latest;
-  latest.serving = serving_total();
-  latest.committed = committed_total();
-  latest.powered = powered_total();
-  latest.available = available_total();
-  std::uint64_t telemetry_stale = 0;
-  auto accept_telemetry = [&](const TelemetrySnapshot& snap) {
-    if (snap.sample_time >= latest.sample_time) {
-      latest = snap;
-    } else {
-      ++telemetry_stale;
-    }
-  };
-
-  // Command application: generation-deduped, fanned out to all shards.
-  std::array<std::uint64_t, kNumCommandKinds> last_applied_gen{};
-  unsigned commanded_target = initial_active;
-  double commanded_speed = cluster.initial_speed;
-  std::uint64_t command_duplicates = 0;
-  TimeWeightedAccumulator speed_avg(0.0);
-
-  // Every ack delivery funnels through here so the lifecycle tracker sees
-  // the arrival before the actuator clears the lane.
-  auto deliver_ack = [&](double t, CommandKind kind, std::uint64_t gen) {
-    lifecycle.on_acked(t, kind, gen);
-    actuator.on_ack(t, kind, gen);
-  };
-
-  auto send_ack = [&](double t, const Command& cmd) {
-    if (!actuator.enabled()) return;
-    if (!options.channel.enabled) {
-      deliver_ack(t, cmd.kind, cmd.gen);
-      return;
-    }
-    (void)lifecycle.next_frame_id(FrameClass::kAck);
-    const auto delay = channel.ack_delay();
-    if (!delay) {
-      // Dropped; channel counters account for the loss, the attribution
-      // matrix charges it to the lossy link.
-      lifecycle.on_frame_dropped(FrameClass::kAck, DropCause::kChannel);
-      return;
-    }
-    if (*delay == 0.0) {
-      deliver_ack(t, cmd.kind, cmd.gen);
-    } else {
-      orchestrator.schedule(t + *delay, EventType::kAckDeliver,
-                            ack_store.put(AckMessage{cmd.kind, cmd.gen}));
-    }
-  };
-
-  auto apply_command = [&](double t, const Command& cmd) {
-    const auto lane = static_cast<std::size_t>(cmd.kind);
-    if (cmd.gen <= last_applied_gen[lane]) {
-      // Reordered or retransmitted: dedup, but re-ack (the original ack may
-      // have been the casualty).
-      ++command_duplicates;
-      send_ack(t, cmd);
-      return;
-    }
-    last_applied_gen[lane] = cmd.gen;
-    if (cmd.kind == CommandKind::kTarget) {
-      const unsigned target =
-          std::clamp(static_cast<unsigned>(cmd.value), 1u, num_servers);
-      commanded_target = target;
-      parallel_shards([&](std::size_t k) { shards[k]->reconcile(t, target); });
-    } else {
-      speed_avg.advance(t, commanded_speed);
-      commanded_speed = cmd.value;
-      parallel_shards(
-          [&](std::size_t k) { shards[k]->set_speed_all(t, cmd.value); });
-    }
-    lifecycle.on_applied(t, cmd.kind, cmd.gen);
-    send_ack(t, cmd);
-  };
-
-  auto ship_command = [&](double t, const Command& cmd) {
-    if (!options.channel.enabled) {
-      apply_command(t, cmd);
-      return;
-    }
-    const auto delay = channel.command_delay();
-    if (!delay) {  // dropped
-      lifecycle.on_command_frame_dropped(t, cmd, DropCause::kChannel);
-      return;
-    }
-    if (*delay == 0.0) {
-      apply_command(t, cmd);
-    } else {
-      orchestrator.schedule(t + *delay, EventType::kCommandDeliver,
-                            command_store.put(cmd));
-    }
   };
 
   // -- observability state --------------------------------------------------
   std::vector<TimelinePoint> timeline;
   bool measuring = options.warmup_s <= 0.0;
   double measure_start = 0.0;
-  double local_rate = 0.0;
-  double last_short_time = 0.0;
-  std::size_t last_short_cursor = 0;
   double last_record_time = 0.0;
   std::size_t last_record_cursor = 0;
-  std::uint64_t ticks_total = 0;
-  std::uint64_t infeasible_total = 0;
-  double reliab_avail_sum = 0.0;
-  double reliab_spares_sum = 0.0;
-  std::uint64_t reliab_plan_ticks = 0;
-  double ts_target_sticky = static_cast<double>(initial_active);
-  double ts_spares_sticky = 0.0;
-  double ts_avail_sticky = 0.0;
-  double ts_energy = 0.0;
-  double ts_last_power = 0.0;
-  double ts_last_time = 0.0;
-  bool ts_have_sample = false;
   struct WarmSnapshot {
     std::uint64_t admitted = 0, shed = 0, dropped = 0, lost = 0;
     std::uint64_t failures = 0, repairs = 0, boot_timeouts = 0;
     std::uint64_t boots = 0, shutdowns = 0;
-    std::uint64_t ticks = 0, infeasible = 0;
   } warm;
-  struct TsPrev {
-    std::uint64_t admitted = 0, shed = 0;
-    std::uint64_t telemetry_dropped = 0, commands_dropped = 0, acks_dropped = 0;
-    std::uint64_t retries = 0, duplicates = 0;
-    std::uint64_t boots = 0, shutdowns = 0;
-  } ts_prev;
-
-  auto admitted_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->admitted;
-    return n + orphaned_arrivals;
-  };
-  auto shed_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->shed;
-    return n;
-  };
-  auto dropped_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->dropped;
-    return n + orphaned_arrivals;
-  };
-  auto boots_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->boots;
-    return n;
-  };
-  auto shutdowns_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += s->shutdowns;
-    return n;
-  };
-
-  const WearModel wear(options.reliability);
-
-  std::vector<std::uint32_t> touched_scratch;
-  LogHistogram window_hist_merged;
-
-  // Fold + reset the per-tick response window across shards.  The mean is
-  // folded from per-server sums in ascending global-index order.
-  struct WindowStats {
-    std::uint64_t completed = 0;
-    std::uint64_t violations = 0;
-    double mean = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-  };
-  auto take_window = [&]() -> WindowStats {
-    WindowStats w;
-    window_hist_merged.clear();
-    touched_scratch.clear();
-    for (const auto& s : shards) {
-      w.completed += s->window_completed;
-      w.violations += s->window_violations;
-      window_hist_merged.merge(s->window_hist);
-      touched_scratch.insert(touched_scratch.end(), s->window_touched.begin(),
-                             s->window_touched.end());
-      s->window_hist.clear();
-      s->window_completed = 0;
-      s->window_violations = 0;
-      s->window_touched.clear();
-    }
-    std::sort(touched_scratch.begin(), touched_scratch.end());
-    double sum = 0.0;
-    for (const std::uint32_t gi : touched_scratch) {
-      Shard& s = shard_of(gi);
-      PerServerStats& ps = s.stats[gi - s.first];
-      sum += ps.window_sum;
-      ps.window_sum = 0.0;
-      ps.window_count = 0;
-    }
-    if (w.completed > 0) {
-      w.mean = sum / static_cast<double>(w.completed);
-      w.p95 = window_hist_merged.quantile(0.95);
-      w.p99 = window_hist_merged.quantile(0.99);
-    }
-    return w;
-  };
-
-  auto take_record_window = [&]() -> double {
-    touched_scratch.clear();
-    for (const auto& s : shards) {
-      touched_scratch.insert(touched_scratch.end(), s->record_touched.begin(),
-                             s->record_touched.end());
-      s->record_touched.clear();
-    }
-    std::sort(touched_scratch.begin(), touched_scratch.end());
-    double sum = 0.0;
-    std::uint64_t count = 0;
-    for (const std::uint32_t gi : touched_scratch) {
-      Shard& s = shard_of(gi);
-      PerServerStats& ps = s.stats[gi - s.first];
-      sum += ps.record_sum;
-      count += ps.record_count;
-      ps.record_sum = 0.0;
-      ps.record_count = 0;
-    }
-    return count > 0 ? sum / static_cast<double>(count) : 0.0;
-  };
-
-  // -- control tick ---------------------------------------------------------
-  std::vector<Command> retransmit_buffer;
-  auto handle_tick = [&](double t, bool long_tick) {
-    // The rate is measured at the fleet (ground truth) and *shipped* to
-    // the controller.  Long ticks sample the partial short window without
-    // resetting it (same as the sequential loop).
-    const double elapsed = t - last_short_time;
-    local_rate = elapsed > 0.0
-                     ? static_cast<double>(cursor - last_short_cursor) / elapsed
-                     : 0.0;
-    if (!long_tick) {
-      last_short_time = t;
-      last_short_cursor = cursor;
-    }
-    TelemetrySnapshot snap;
-    snap.sample_time = t;
-    snap.rate = local_rate;
-    snap.serving = serving_total();
-    snap.committed = committed_total();
-    snap.powered = powered_total();
-    snap.available = available_total();
-    snap.jobs = jobs_total();
-    if (!options.channel.enabled) {
-      latest = snap;
-    } else {
-      (void)lifecycle.next_frame_id(FrameClass::kTelemetry);
-      if (const auto delay = channel.telemetry_delay()) {
-        if (*delay == 0.0) {
-          accept_telemetry(snap);
-        } else {
-          orchestrator.schedule(t + *delay, EventType::kTelemetryDeliver,
-                                telemetry_store.put(snap));
-        }
-      } else {
-        lifecycle.on_frame_dropped(FrameClass::kTelemetry, DropCause::kChannel);
-      }
-    }
-
-    ControlContext ctx;
-    ctx.now = t;
-    ctx.measured_rate = latest.rate;
-    ctx.serving = latest.serving;
-    ctx.committed = latest.committed;
-    ctx.powered = latest.powered;
-    ctx.available = latest.available;
-    ctx.jobs_in_system = latest.jobs;
-    ctx.obs_age_s = t - latest.sample_time;
-    ctx.safe_mode = false;
-    if (actuator.enabled()) {
-      if (const auto v = actuator.acked_value(CommandKind::kTarget)) {
-        ctx.acked_target = static_cast<unsigned>(*v);
-      }
-      if (const auto v = actuator.acked_value(CommandKind::kSpeed)) {
-        ctx.acked_speed = *v;
-      }
-    }
-
-    const ControlAction action =
-        long_tick ? controller.on_long_tick(ctx) : controller.on_short_tick(ctx);
-    if (action.active_target) {
-      ts_target_sticky = static_cast<double>(*action.active_target);
-      const Command cmd =
-          actuator.issue(t, CommandKind::kTarget,
-                         static_cast<double>(*action.active_target), 0);
-      lifecycle.on_issued(t, cmd, ctx.obs_age_s);
-      ship_command(t, cmd);
-    }
-    if (action.speed) {
-      const Command cmd = actuator.issue(t, CommandKind::kSpeed, *action.speed, 0);
-      lifecycle.on_issued(t, cmd, ctx.obs_age_s);
-      ship_command(t, cmd);
-    }
-    if (actuator.enabled()) {
-      retransmit_buffer.clear();
-      actuator.poll(t, retransmit_buffer);
-      for (const Command& cmd : retransmit_buffer) {
-        lifecycle.on_retransmit(t, cmd);
-        ship_command(t, cmd);
-      }
-      // A lane with nothing outstanding whose newest tracked command never
-      // got an ack just reconciled (retry budget exhausted).
-      for (int k = 0; k < kNumCommandKinds; ++k) {
-        const auto kind = static_cast<CommandKind>(k);
-        if (!actuator.outstanding(kind)) lifecycle.on_lane_reconciled(t, kind);
-      }
-    }
-    ++ticks_total;
-    if (action.infeasible) ++infeasible_total;
-    if (action.explain.solved_spares >= 0) {
-      ts_spares_sticky = action.explain.solved_spares;
-      ts_avail_sticky = action.explain.availability_est;
-      if (long_tick) {
-        // Fresh reliability plan (short ticks only re-report it).
-        ++reliab_plan_ticks;
-        reliab_spares_sum += action.explain.solved_spares;
-        reliab_avail_sum += action.explain.availability_est;
-      }
-    }
-    if (admission.enabled()) {
-      // Admission is fleet-local (data plane): it protects the SLA from
-      // the true local rate and the post-command fleet state.
-      admission.update(local_rate, serving_total(), commanded_speed);
-      const double p = admission.admit_probability();
-      for (const auto& s : shards) s->p_admit = p;
-    }
-    const double p_admit = admission.enabled() ? admission.admit_probability() : 1.0;
-
-    if (options.timeseries != nullptr) {
-      TimeSeriesSample sample;
-      sample.time = t;
-      sample.long_tick = long_tick;
-      sample.measured = measuring;
-      sample.observed_rate = ctx.measured_rate;
-      sample.local_rate = local_rate;
-      sample.predicted_rate = action.explain.predicted_rate;
-      sample.planning_rate = action.explain.planning_rate;
-      sample.target_m = ts_target_sticky;
-      sample.serving = serving_total();
-      sample.committed = committed_total();
-      sample.powered = powered_total();
-      sample.available = available_total();
-      sample.speed = commanded_speed;
-      sample.power_w = fold_power();
-      if (ts_have_sample) ts_energy += ts_last_power * (t - ts_last_time);
-      ts_last_power = sample.power_w;
-      ts_last_time = t;
-      ts_have_sample = true;
-      sample.energy_j = ts_energy;
-      sample.queue_depth = jobs_total();
-      const WindowStats window = take_window();
-      sample.window_completed = window.completed;
-      sample.window_mean_response_s = window.mean;
-      sample.window_p95_response_s = window.p95;
-      sample.window_p99_response_s = window.p99;
-      sample.window_violation_fraction =
-          window.completed > 0
-              ? static_cast<double>(window.violations) /
-                    static_cast<double>(window.completed)
-              : 0.0;
-      sample.window_violated =
-          window.completed > 0 && window.mean > options.t_ref_s;
-      const std::uint64_t admitted_now = admitted_total();
-      const std::uint64_t shed_now = shed_total();
-      sample.d_admitted = admitted_now - ts_prev.admitted;
-      sample.d_shed = shed_now - ts_prev.shed;
-      ts_prev.admitted = admitted_now;
-      ts_prev.shed = shed_now;
-      sample.admit_probability = p_admit;
-      sample.obs_age_s = ctx.obs_age_s;
-      sample.safe_mode = false;
-      sample.infeasible = action.infeasible;
-      const std::uint64_t tele_drop = channel.telemetry_counters().dropped;
-      const std::uint64_t cmd_drop = channel.command_counters().dropped;
-      const std::uint64_t ack_drop = channel.ack_counters().dropped;
-      sample.d_telemetry_dropped = tele_drop - ts_prev.telemetry_dropped;
-      sample.d_commands_dropped = cmd_drop - ts_prev.commands_dropped;
-      sample.d_acks_dropped = ack_drop - ts_prev.acks_dropped;
-      sample.d_command_retries = actuator.retries() - ts_prev.retries;
-      sample.d_command_duplicates = command_duplicates - ts_prev.duplicates;
-      ts_prev.telemetry_dropped = tele_drop;
-      ts_prev.commands_dropped = cmd_drop;
-      ts_prev.acks_dropped = ack_drop;
-      ts_prev.retries = actuator.retries();
-      ts_prev.duplicates = command_duplicates;
-      sample.d_ticks_missed = 0;
-      const std::uint64_t boots_now = boots_total();
-      const std::uint64_t shutdowns_now = shutdowns_total();
-      sample.d_boots = boots_now - ts_prev.boots;
-      sample.d_shutdowns = shutdowns_now - ts_prev.shutdowns;
-      ts_prev.boots = boots_now;
-      ts_prev.shutdowns = shutdowns_now;
-      sample.solved_spares = ts_spares_sticky;
-      sample.availability_est = ts_avail_sticky;
-      if (wear.enabled()) {
-        double wear_sum = 0.0;
-        for (const auto& s : shards) {
-          for (std::uint32_t li = 0; li < s->size(); ++li) {
-            wear_sum += wear.wear_fraction(s->server_boots[li],
-                                           s->server_shutdowns[li]);
-          }
-        }
-        sample.wear_fraction = wear_sum / static_cast<double>(num_servers);
-      }
-      options.timeseries->append(sample);
-    }
-
-    if (options.audit != nullptr) {
-      AuditRecord record;
-      record.time_s = t;
-      record.long_tick = long_tick;
-      record.observed_rate = ctx.measured_rate;
-      record.serving = ctx.serving;
-      record.committed = ctx.committed;
-      record.powered = ctx.powered;
-      record.available = ctx.available;
-      record.jobs_in_system = ctx.jobs_in_system;
-      record.predicted_rate = action.explain.predicted_rate;
-      record.planning_rate = action.explain.planning_rate;
-      record.safety_margin = action.explain.safety_margin;
-      record.planned_servers = action.explain.planned_servers;
-      record.detected_available = action.explain.detected_available;
-      record.target_set = action.active_target.has_value();
-      if (action.active_target) {
-        record.target_servers = *action.active_target;
-        record.delta_servers = static_cast<int>(*action.active_target) -
-                               static_cast<int>(ctx.committed);
-      }
-      record.speed_set = action.speed.has_value();
-      if (action.speed) record.speed = *action.speed;
-      record.infeasible = action.infeasible;
-      record.admit_probability = p_admit;
-      record.obs_age_s = ctx.obs_age_s;
-      record.safe_mode = false;
-      record.solved_spares = action.explain.solved_spares;
-      record.availability_est = action.explain.availability_est;
-      record.binding_constraint = action.explain.binding_constraint;
-      options.audit->append(record);
-    }
-
-    orchestrator.schedule(t + (long_tick ? t_long : t_short),
-                          long_tick ? EventType::kLongTick : EventType::kShortTick,
-                          0);
-  };
 
   auto handle_record = [&](double t) {
     TimelinePoint point;
@@ -1301,19 +947,19 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     const double elapsed = t - last_record_time;
     point.arrival_rate =
         elapsed > 0.0
-            ? static_cast<double>(cursor - last_record_cursor) / elapsed
+            ? static_cast<double>(fleet.cursor - last_record_cursor) / elapsed
             : 0.0;
     last_record_time = t;
-    last_record_cursor = cursor;
-    point.serving = serving_total();
-    point.powered = powered_total();
-    point.available = available_total();
-    point.speed = commanded_speed;
-    point.power_watts = fold_power();
-    point.jobs_in_system = static_cast<double>(jobs_total());
-    point.window_mean_response_s = take_record_window();
-    point.admit_probability =
-        admission.enabled() ? admission.admit_probability() : 1.0;
+    last_record_cursor = fleet.cursor;
+    const ControlLoop::Fleet::State state = fleet.state();
+    point.serving = state.serving;
+    point.powered = state.powered;
+    point.available = state.available;
+    point.speed = fleet.commanded_speed;
+    point.power_watts = fleet.power_w();
+    point.jobs_in_system = static_cast<double>(state.jobs);
+    point.window_mean_response_s = fleet.take_record_window();
+    point.admit_probability = admission.admit_probability();
     timeline.push_back(point);
     orchestrator.schedule(t + options.record_interval_s, EventType::kRecord, 0);
   };
@@ -1347,43 +993,48 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     bool done = false;
     switch (event->type) {
       case EventType::kShortTick:
-      case EventType::kLongTick:
-        handle_tick(t, event->type == EventType::kLongTick);
-        done = cursor == arrivals.size() && jobs_total() == 0;
+      case EventType::kLongTick: {
+        const bool long_tick = event->type == EventType::kLongTick;
+        control.on_tick(t, long_tick);
+        if (admission.enabled()) {
+          // Admission is fleet-local (data plane): the shards shed against
+          // the probability this tick computed.
+          const double p = admission.admit_probability();
+          for (const auto& s : shards) s->p_admit = p;
+        }
+        orchestrator.schedule(t + (long_tick ? t_long : t_short), event->type, 0);
+        done = fleet.cursor == arrivals.size() && fleet.state().jobs == 0;
         break;
+      }
       case EventType::kRecord: handle_record(t); break;
       case EventType::kWarmupEnd: {
-        parallel_shards([&](std::size_t k) { shards[k]->begin_measuring(t); });
+        fleet.parallel([&](std::size_t k) { shards[k]->begin_measuring(t); });
         measuring = true;
         measure_start = t;
-        warm.admitted = admitted_total();
-        warm.shed = shed_total();
-        warm.dropped = dropped_total();
-        warm.boots = boots_total();
-        warm.shutdowns = shutdowns_total();
+        warm.admitted = fleet.admitted_total();
+        warm.shed = fleet.shed_total();
+        warm.dropped = fleet.dropped_total();
+        const ControlLoop::Fleet::Totals totals = fleet.totals();
+        warm.boots = totals.boots;
+        warm.shutdowns = totals.shutdowns;
         for (const auto& s : shards) {
           warm.lost += s->lost;
           warm.failures += s->failures;
           warm.repairs += s->repairs;
           warm.boot_timeouts += s->boot_timeouts;
         }
-        warm.ticks = ticks_total;
-        warm.infeasible = infeasible_total;
-        speed_avg.advance(t, commanded_speed);
-        speed_avg = TimeWeightedAccumulator(t);
+        control.end_warmup();
+        fleet.speed_avg.advance(t, fleet.commanded_speed);
+        fleet.speed_avg = TimeWeightedAccumulator(t);
         break;
       }
       case EventType::kTelemetryDeliver:
-        accept_telemetry(telemetry_store.take(event->subject));
-        break;
       case EventType::kCommandDeliver:
-        apply_command(t, command_store.take(event->subject));
+      case EventType::kAckDeliver:
+      case EventType::kControllerFail:
+      case EventType::kControllerRecover:
+        control.on_event(t, event->type, event->subject);
         break;
-      case EventType::kAckDeliver: {
-        const AckMessage ack = ack_store.take(event->subject);
-        deliver_ack(t, ack.kind, ack.gen);
-        break;
-      }
       default: GC_CHECK(false, "sharded: unexpected orchestrator event type");
     }
     if (done) {
@@ -1392,9 +1043,8 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     }
   }
 
-  parallel_shards([&](std::size_t k) { shards[k]->finalize(end_time); });
-  lifecycle.finalize_all(end_time);
-  speed_avg.advance(end_time, commanded_speed);
+  fleet.parallel([&](std::size_t k) { shards[k]->finalize(end_time); });
+  fleet.speed_avg.advance(end_time, fleet.commanded_speed);
   if (!measuring) measure_start = end_time;
   const double sim_time = end_time - measure_start;
 
@@ -1438,9 +1088,10 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     }
   }
 
+  const ControlLoop::Fleet::Totals totals = fleet.totals();
   result.completed_jobs = completed;
-  result.dropped_jobs = dropped_total() - warm.dropped;
-  result.shed_jobs = shed_total() - warm.shed;
+  result.dropped_jobs = fleet.dropped_total() - warm.dropped;
+  result.shed_jobs = totals.shed - warm.shed;
   std::uint64_t lost_whole = 0, failures_whole = 0, repairs_whole = 0,
                 boot_timeouts_whole = 0;
   for (const auto& s : shards) {
@@ -1478,10 +1129,10 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   }
   result.energy = energy;
   result.mean_power_w = sim_time > 0.0 ? energy.total_j() / sim_time : 0.0;
-  result.boots = boots_total() - warm.boots;
-  result.shutdowns = shutdowns_total() - warm.shutdowns;
+  result.boots = totals.boots - warm.boots;
+  result.shutdowns = totals.shutdowns - warm.shutdowns;
   result.mean_serving = sim_time > 0.0 ? serving_integral / sim_time : 0.0;
-  result.mean_speed = speed_avg.time_average();
+  result.mean_speed = fleet.speed_avg.time_average();
   result.mean_jobs_in_system = sim_time > 0.0 ? jobs_integral / sim_time : 0.0;
   result.mean_available = sim_time > 0.0 ? available_integral / sim_time : 0.0;
   result.unavailability =
@@ -1490,38 +1141,15 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
           : 0.0;
   {
     const std::uint64_t shed_delta = result.shed_jobs;
-    const std::uint64_t offered = (admitted_total() - warm.admitted) + shed_delta;
+    const std::uint64_t offered = (totals.admitted - warm.admitted) + shed_delta;
     result.shed_ratio =
         offered > 0
             ? static_cast<double>(shed_delta) / static_cast<double>(offered)
             : 0.0;
   }
-  result.infeasible_ticks = infeasible_total - warm.infeasible;
-  const std::uint64_t measured_ticks = ticks_total - warm.ticks;
-  result.infeasible_ratio =
-      measured_ticks > 0 ? static_cast<double>(result.infeasible_ticks) /
-                               static_cast<double>(measured_ticks)
-                         : 0.0;
-  result.telemetry_dropped = channel.telemetry_counters().dropped;
-  result.commands_dropped = channel.command_counters().dropped;
-  result.acks_dropped = channel.ack_counters().dropped;
-  result.command_retries = actuator.retries();
-  result.command_duplicates = command_duplicates;
-  result.commands_exhausted = actuator.exhausted();
   result.wear_fraction_mean =
       num_servers > 0 ? wear_sum / static_cast<double>(num_servers) : 0.0;
-  if (reliab_plan_ticks > 0) {
-    result.availability_estimate =
-        reliab_avail_sum / static_cast<double>(reliab_plan_ticks);
-    result.mean_solved_spares =
-        reliab_spares_sum / static_cast<double>(reliab_plan_ticks);
-  }
   result.response_hist = std::move(response_hist);
-  result.lifecycle_ack_hist = lifecycle.ack_latency();
-  result.lifecycle_apply_hist = lifecycle.apply_latency();
-  result.lifecycle_e2e_hist = lifecycle.e2e_latency();
-  result.lifecycle_obs_age_hist = lifecycle.obs_age();
-  result.command_lifecycles = lifecycle.records();
   result.timeline = std::move(timeline);
 
   // -- counters registry (names mirror run_simulation) ----------------------
@@ -1530,26 +1158,24 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     std::uint64_t count = orchestrator_events[type];
     for (const auto& s : shards) count += s->events[type];
     if (type == static_cast<std::size_t>(EventType::kArrival)) {
-      count += orphaned_arrivals;
+      count += fleet.orphaned_arrivals;
     }
     registry
         .counter(std::string("sim.events.") +
                  to_string(static_cast<EventType>(type)))
         .inc(count);
   }
-  registry.counter("sim.jobs.admitted").inc(admitted_total());
-  registry.counter("sim.jobs.shed").inc(shed_total());
+  registry.counter("sim.jobs.admitted").inc(totals.admitted);
+  registry.counter("sim.jobs.shed").inc(totals.shed);
   registry.counter("sim.jobs.completed").inc(completed);
-  registry.counter("sim.jobs.dropped").inc(dropped_total());
+  registry.counter("sim.jobs.dropped").inc(fleet.dropped_total());
   registry.counter("sim.jobs.redispatched").inc(0);
   registry.counter("sim.jobs.lost").inc(lost_whole);
-  registry.counter("cluster.boots").inc(boots_total());
-  registry.counter("cluster.shutdowns").inc(shutdowns_total());
+  registry.counter("cluster.boots").inc(totals.boots);
+  registry.counter("cluster.shutdowns").inc(totals.shutdowns);
   registry.counter("cluster.failures").inc(failures_whole);
   registry.counter("cluster.repairs").inc(repairs_whole);
   registry.counter("cluster.boot_timeouts").inc(boot_timeouts_whole);
-  registry.counter("control.ticks").inc(ticks_total);
-  registry.counter("control.infeasible_ticks").inc(infeasible_total);
   registry.gauge("sim.time_s").set(end_time);
   registry.counter("sharded.num_shards").inc(num_shards);
   {
@@ -1561,58 +1187,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     registry.counter("sharded.shard_events_scheduled").inc(shard_events);
     registry.counter("sharded.queue_reallocations").inc(reallocations);
   }
-  if (options.channel.enabled) {
-    registry.counter("chan.telemetry.sent").inc(channel.telemetry_counters().sent);
-    registry.counter("chan.telemetry.dropped").inc(result.telemetry_dropped);
-    registry.counter("chan.telemetry.stale_discarded").inc(telemetry_stale);
-    registry.counter("chan.command.sent").inc(channel.command_counters().sent);
-    registry.counter("chan.command.dropped").inc(result.commands_dropped);
-    registry.counter("chan.ack.sent").inc(channel.ack_counters().sent);
-    registry.counter("chan.ack.dropped").inc(result.acks_dropped);
-  }
-  if (options.actuator.enabled) {
-    registry.counter("act.retries").inc(actuator.retries());
-    registry.counter("act.acked").inc(actuator.acked());
-    registry.counter("act.stale_acks").inc(actuator.stale_acks());
-    registry.counter("act.exhausted").inc(actuator.exhausted());
-    registry.counter("act.duplicates").inc(command_duplicates);
-    registry.counter("act.rejected_era").inc(0);
-  }
-  if (options.audit != nullptr) {
-    registry.counter("obs.audit.records").inc(options.audit->size());
-  }
-  if (options.timeseries != nullptr) {
-    registry.counter("obs.timeseries.periods").inc(options.timeseries->periods());
-    registry.counter("obs.timeseries.rows").inc(options.timeseries->size());
-  }
-  registry.counter("fleet.boot_count").inc(boots_total());
-  registry.counter("fleet.shutdown_count").inc(shutdowns_total());
-  if (options.reliability.enabled() || reliab_plan_ticks > 0) {
-    registry.gauge("fleet.wear_fraction_mean").set(result.wear_fraction_mean);
-    registry.gauge("fleet.wear_fraction_max").set(result.wear_fraction_max);
-    registry.gauge("fleet.availability_observed").set(1.0 - result.unavailability);
-    if (reliab_plan_ticks > 0) {
-      registry.gauge("reliability.availability_estimate")
-          .set(result.availability_estimate);
-      registry.gauge("reliability.solved_spares_mean")
-          .set(result.mean_solved_spares);
-    }
-  }
-  result.counters = registry.snapshot();
-  // Lifecycle tracker counters (cp.lifecycle.*, cp.drop.*): every
-  // transition was recorded on the orchestrator thread between barriers,
-  // so these are identical across K — the shard-determinism suite's
-  // counters equality holds with them merged in.
-  {
-    CountersSnapshot lc;
-    lifecycle.counters_into(lc);
-    for (const auto& [name, value] : lc.counters) {
-      result.counters.add_counter(name, value);
-    }
-    for (const auto& [name, value] : lc.gauges) {
-      result.counters.add_gauge(name, value);
-    }
-  }
+  control.finish(end_time, result, registry);
   return result;
 }
 
