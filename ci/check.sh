@@ -9,8 +9,8 @@
 # one-sided, so a faster machine never fails it).
 # The sanitize mode also runs the ThreadSanitizer lane over the sharded
 # simulation core (see tsan_lane; `ci/check.sh tsan` runs just that lane).
-# The lint mode runs the cheap static checks (clang-format via
-# ci/format.sh --check, clang-tidy when installed, plus a
+# The lint mode runs the cheap static checks (no tracked build output,
+# clang-format via ci/format.sh --check, clang-tidy when installed, plus a
 # tracing-compiled-out configure) without running the suite.
 # The soak mode records a multi-day fig8 trace, replays it through
 # tools/gcreplay at 1000x — including a kill at the midpoint tick and a
@@ -30,7 +30,7 @@
 #   ci/check.sh plain      # plain only
 #   ci/check.sh sanitize   # ASan/UBSan suite + TSan sharded lane
 #   ci/check.sh tsan       # TSan sharded lane only
-#   ci/check.sh lint       # format check + GC_TRACING=OFF configure/build
+#   ci/check.sh lint       # build-output/format checks + GC_TRACING=OFF build
 #   ci/check.sh soak       # gcreplay drift oracle, multi-day + kill/restore
 #   ci/check.sh chaos      # wire-fault schedules through the drift oracle
 #   ci/check.sh coverage   # gcov lane, gates src/cp/ line coverage >= 90%
@@ -265,7 +265,22 @@ clang_tidy() {
     || { echo "clang-tidy: analysis failed (see above)" >&2; exit 1; }
 }
 
+# Build output must never be committed: any tracked path under a build*/
+# directory (at any depth) fails the lane.  .gitignore covers build*/, so
+# this only trips on a forced add or on a tree committed before the rule.
+tracked_build_output_check() {
+  echo "==> [lint] no tracked build output"
+  local tracked
+  tracked="$(git ls-files | grep -E '(^|/)build[^/]*/' || true)"
+  if [ -n "${tracked}" ]; then
+    echo "tracked build output (git rm -r --cached it):" >&2
+    echo "${tracked}" | head -20 >&2
+    exit 1
+  fi
+}
+
 lint() {
+  tracked_build_output_check
   # Probe every tool first: a box without clang-tidy learns that before the
   # multi-minute configure/build, not after.
   local tidy

@@ -8,10 +8,11 @@
 // transport-agnostic — it never schedules events, opens sockets or touches
 // a Cluster.  Three drivers feed it today:
 //
-//   * sim/simulation.cpp — the in-process simulator; ships telemetry and
-//     transmits the returned command frames over sim/control_channel.
-//     Bit-identical to the pre-extraction loop (the pinned determinism
-//     goldens hold).
+//   * sim/control_loop.h — the in-process simulator's one control-loop
+//     driver, shared by the sequential and the sharded engine; ships
+//     telemetry and transmits the returned command frames over
+//     sim/control_channel.  Bit-identical to the pre-extraction loop (the
+//     pinned determinism goldens hold).
 //   * cp/replay.h — tools/gcreplay's engine; streams a recorded audit log
 //     back through a fresh facade and asserts the command stream matches.
 //   * cp/wire.h — a length-prefixed frame protocol over a byte stream

@@ -598,20 +598,21 @@ struct ShardedFleet final : ControlLoop::Fleet {
     return *shards[k];
   }
 
-  template <typename Fn>
-  [[nodiscard]] std::uint64_t sum(Fn&& per_shard) const {
-    std::uint64_t n = 0;
-    for (const auto& s : shards) n += per_shard(*s);
-    return n;
-  }
-  [[nodiscard]] std::uint64_t admitted_total() const {
-    return sum([](const Shard& s) { return s.admitted; }) + orphaned_arrivals;
-  }
-  [[nodiscard]] std::uint64_t shed_total() const {
-    return sum([](const Shard& s) { return s.shed; });
-  }
-  [[nodiscard]] std::uint64_t dropped_total() const {
-    return sum([](const Shard& s) { return s.dropped; }) + orphaned_arrivals;
+  // Whole-run job-loss and fault tallies (integer sums, any order).
+  struct LossTotals {
+    std::uint64_t dropped = 0, lost = 0, failures = 0, repairs = 0, boot_timeouts = 0;
+  };
+  [[nodiscard]] LossTotals loss_totals() const {
+    LossTotals t;
+    t.dropped = orphaned_arrivals;
+    for (const auto& s : shards) {
+      t.dropped += s->dropped;
+      t.lost += s->lost;
+      t.failures += s->failures;
+      t.repairs += s->repairs;
+      t.boot_timeouts += s->boot_timeouts;
+    }
+    return t;
   }
 
   // Fold + reset the per-record-window response mean, in ascending
@@ -651,9 +652,16 @@ struct ShardedFleet final : ControlLoop::Fleet {
     return st;
   }
   Totals totals() const override {
-    return {cursor, admitted_total(), shed_total(),
-            sum([](const Shard& s) { return s.boots; }),
-            sum([](const Shard& s) { return s.shutdowns; })};
+    Totals t;
+    t.arrivals = cursor;
+    t.admitted = orphaned_arrivals;
+    for (const auto& s : shards) {
+      t.admitted += s->admitted;
+      t.shed += s->shed;
+      t.boots += s->boots;
+      t.shutdowns += s->shutdowns;
+    }
+    return t;
   }
   double power_w() const override {
     // Shards are contiguous ascending ranges, so this is the canonical
@@ -935,11 +943,9 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   double measure_start = 0.0;
   double last_record_time = 0.0;
   std::size_t last_record_cursor = 0;
-  struct WarmSnapshot {
-    std::uint64_t admitted = 0, shed = 0, dropped = 0, lost = 0;
-    std::uint64_t failures = 0, repairs = 0, boot_timeouts = 0;
-    std::uint64_t boots = 0, shutdowns = 0;
-  } warm;
+  // Whole-run totals at the warmup barrier.
+  ControlLoop::Fleet::Totals warm_totals;
+  ShardedFleet::LossTotals warm_losses;
 
   auto handle_record = [&](double t) {
     TimelinePoint point;
@@ -1011,18 +1017,8 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
         fleet.parallel([&](std::size_t k) { shards[k]->begin_measuring(t); });
         measuring = true;
         measure_start = t;
-        warm.admitted = fleet.admitted_total();
-        warm.shed = fleet.shed_total();
-        warm.dropped = fleet.dropped_total();
-        const ControlLoop::Fleet::Totals totals = fleet.totals();
-        warm.boots = totals.boots;
-        warm.shutdowns = totals.shutdowns;
-        for (const auto& s : shards) {
-          warm.lost += s->lost;
-          warm.failures += s->failures;
-          warm.repairs += s->repairs;
-          warm.boot_timeouts += s->boot_timeouts;
-        }
+        warm_totals = fleet.totals();
+        warm_losses = fleet.loss_totals();
         control.end_warmup();
         fleet.speed_avg.advance(t, fleet.commanded_speed);
         fleet.speed_avg = TimeWeightedAccumulator(t);
@@ -1090,21 +1086,14 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
 
   const ControlLoop::Fleet::Totals totals = fleet.totals();
   result.completed_jobs = completed;
-  result.dropped_jobs = fleet.dropped_total() - warm.dropped;
-  result.shed_jobs = totals.shed - warm.shed;
-  std::uint64_t lost_whole = 0, failures_whole = 0, repairs_whole = 0,
-                boot_timeouts_whole = 0;
-  for (const auto& s : shards) {
-    lost_whole += s->lost;
-    failures_whole += s->failures;
-    repairs_whole += s->repairs;
-    boot_timeouts_whole += s->boot_timeouts;
-  }
-  result.failures = failures_whole - warm.failures;
-  result.repairs = repairs_whole - warm.repairs;
-  result.boot_timeouts = boot_timeouts_whole - warm.boot_timeouts;
+  const ShardedFleet::LossTotals losses = fleet.loss_totals();
+  result.dropped_jobs = losses.dropped - warm_losses.dropped;
+  result.shed_jobs = totals.shed - warm_totals.shed;
+  result.failures = losses.failures - warm_losses.failures;
+  result.repairs = losses.repairs - warm_losses.repairs;
+  result.boot_timeouts = losses.boot_timeouts - warm_losses.boot_timeouts;
   result.jobs_redispatched = 0;  // the sharded model drops, never re-routes
-  result.jobs_lost = lost_whole - warm.lost;
+  result.jobs_lost = losses.lost - warm_losses.lost;
   result.sim_time_s = sim_time;
   result.mean_response_s =
       completed > 0 ? response_sum / static_cast<double>(completed) : 0.0;
@@ -1129,8 +1118,8 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   }
   result.energy = energy;
   result.mean_power_w = sim_time > 0.0 ? energy.total_j() / sim_time : 0.0;
-  result.boots = totals.boots - warm.boots;
-  result.shutdowns = totals.shutdowns - warm.shutdowns;
+  result.boots = totals.boots - warm_totals.boots;
+  result.shutdowns = totals.shutdowns - warm_totals.shutdowns;
   result.mean_serving = sim_time > 0.0 ? serving_integral / sim_time : 0.0;
   result.mean_speed = fleet.speed_avg.time_average();
   result.mean_jobs_in_system = sim_time > 0.0 ? jobs_integral / sim_time : 0.0;
@@ -1141,7 +1130,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
           : 0.0;
   {
     const std::uint64_t shed_delta = result.shed_jobs;
-    const std::uint64_t offered = (totals.admitted - warm.admitted) + shed_delta;
+    const std::uint64_t offered = (totals.admitted - warm_totals.admitted) + shed_delta;
     result.shed_ratio =
         offered > 0
             ? static_cast<double>(shed_delta) / static_cast<double>(offered)
@@ -1168,14 +1157,14 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   registry.counter("sim.jobs.admitted").inc(totals.admitted);
   registry.counter("sim.jobs.shed").inc(totals.shed);
   registry.counter("sim.jobs.completed").inc(completed);
-  registry.counter("sim.jobs.dropped").inc(fleet.dropped_total());
+  registry.counter("sim.jobs.dropped").inc(losses.dropped);
   registry.counter("sim.jobs.redispatched").inc(0);
-  registry.counter("sim.jobs.lost").inc(lost_whole);
+  registry.counter("sim.jobs.lost").inc(losses.lost);
   registry.counter("cluster.boots").inc(totals.boots);
   registry.counter("cluster.shutdowns").inc(totals.shutdowns);
-  registry.counter("cluster.failures").inc(failures_whole);
-  registry.counter("cluster.repairs").inc(repairs_whole);
-  registry.counter("cluster.boot_timeouts").inc(boot_timeouts_whole);
+  registry.counter("cluster.failures").inc(losses.failures);
+  registry.counter("cluster.repairs").inc(losses.repairs);
+  registry.counter("cluster.boot_timeouts").inc(losses.boot_timeouts);
   registry.gauge("sim.time_s").set(end_time);
   registry.counter("sharded.num_shards").inc(num_shards);
   {

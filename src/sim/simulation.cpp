@@ -203,6 +203,25 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
     result.timeline.push_back(point);
   };
 
+  // Snapshots the whole-run totals the measured deltas are taken from
+  // (energy after the caller's flush).
+  auto snapshot_warmup = [&](double t) {
+    warmup_energy = cluster.energy();
+    measure_start = t;
+    warmup_completed = metrics.completed();
+    warmup_dropped = cluster.jobs_dropped();
+    warmup_boots = cluster.boots_started();
+    warmup_shutdowns = cluster.shutdowns_started();
+    warmup_shed = admission.shed();
+    warmup_failures = cluster.failures();
+    warmup_repairs = cluster.repairs();
+    warmup_boot_timeouts = cluster.boot_timeouts();
+    warmup_redispatched = cluster.jobs_redispatched();
+    warmup_lost = cluster.jobs_lost();
+    warmup_admitted = admitted_total;
+    control.end_warmup();
+  };
+
   while (auto event = queue.pop()) {
     // The run is over once the workload is exhausted and every job has
     // departed; pending ticks/completions past that point would only
@@ -315,20 +334,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
         jobs_avg = TimeWeightedAccumulator(now);
         available_avg = TimeWeightedAccumulator(now);
         cluster.flush_energy(now);
-        warmup_energy = cluster.energy();
-        measure_start = now;
-        warmup_completed = metrics.completed();
-        warmup_dropped = cluster.jobs_dropped();
-        warmup_boots = cluster.boots_started();
-        warmup_shutdowns = cluster.shutdowns_started();
-        warmup_shed = admission.shed();
-        warmup_failures = cluster.failures();
-        warmup_repairs = cluster.repairs();
-        warmup_boot_timeouts = cluster.boot_timeouts();
-        warmup_redispatched = cluster.jobs_redispatched();
-        warmup_lost = cluster.jobs_lost();
-        warmup_admitted = admitted_total;
-        control.end_warmup();
+        snapshot_warmup(now);
         break;
       }
     }
@@ -338,20 +344,7 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   if (in_warmup) {
     // The workload drained before the warmup ended: there is no measured
     // interval at all.  Report an empty (not a warmup-polluted) result.
-    warmup_energy = cluster.energy();
-    warmup_completed = metrics.completed();
-    warmup_dropped = cluster.jobs_dropped();
-    warmup_boots = cluster.boots_started();
-    warmup_shutdowns = cluster.shutdowns_started();
-    warmup_shed = admission.shed();
-    warmup_failures = cluster.failures();
-    warmup_repairs = cluster.repairs();
-    warmup_boot_timeouts = cluster.boot_timeouts();
-    warmup_redispatched = cluster.jobs_redispatched();
-    warmup_lost = cluster.jobs_lost();
-    warmup_admitted = admitted_total;
-    control.end_warmup();
-    measure_start = now;
+    snapshot_warmup(now);
   }
   const EnergyBreakdown total = cluster.energy();
   result.energy.busy_j = total.busy_j - warmup_energy.busy_j;

@@ -22,6 +22,10 @@
 //                       drops the fleet into a safe static fallback
 //                       (all-on, nominal frequency) when it trips.
 //
+// Ticks, deliveries and outage edges are handed to the control-loop driver
+// shared with the sharded engine (sim/control_loop.h); this loop keeps the
+// data plane and tick rescheduling.
+//
 // The run ends when the workload is exhausted AND all jobs have departed,
 // or at `hard_stop_s` if configured (overload protection).
 #pragma once

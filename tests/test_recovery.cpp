@@ -1,7 +1,8 @@
 // Controller crash-recovery tests (ControllerRecoveryMode,
 // sim/control_channel.h + the kControllerRecover handler in
-// sim/simulation.cpp): a warm restart — snapshot, tear down, rebuild,
-// restore — must be bit-identical to the historical preserve path, a cold
+// sim/control_loop.cpp): a warm restart — snapshot, tear down, rebuild,
+// restore — must be bit-identical to the historical preserve path in both
+// simulation engines, a cold
 // restart must run to completion on a regressed clock without tripping
 // invariants, and both must keep the era monotone so post-outage commands
 // clear safe mode's incarnation gate.
@@ -10,7 +11,10 @@
 #include <cmath>
 
 #include "control/policies.h"
+#include "sim/sharded.h"
 #include "sim/simulation.h"
+#include "workload/rate_profile.h"
+#include "workload/trace.h"
 #include "workload/workload.h"
 
 namespace gc {
@@ -24,13 +28,14 @@ ClusterConfig config8() {
   return config;
 }
 
-SimResult run(ControllerRecoveryMode mode, bool random_outages = false) {
+enum class Engine { kSequential, kSharded };
+
+SimResult run(ControllerRecoveryMode mode, bool random_outages = false,
+              Engine engine = Engine::kSequential) {
   const ClusterConfig config = config8();
   const Provisioner provisioner(config);
   PolicyOptions popts;
   const auto controller = make_policy(PolicyKind::kCombinedDcp, &provisioner, popts);
-  Workload workload =
-      Workload::poisson_exponential(20.0, config.mu_max, 3000.0, /*seed=*/3);
   ClusterOptions cluster;
   cluster.num_servers = config.max_servers;
   cluster.initial_active = config.max_servers;
@@ -48,6 +53,17 @@ SimResult run(ControllerRecoveryMode mode, bool random_outages = false) {
     sim.controller_faults.mttr_s = 90.0;
   }
   sim.controller_faults.recovery = mode;
+  if (engine == Engine::kSharded) {
+    const Trace trace =
+        Trace::from_profile(ConstantRate(20.0), 3000.0, /*seed=*/3);
+    ShardedOptions sharded;
+    sharded.num_shards = 2;
+    return run_sharded_simulation(trace, Distribution::exponential(config.mu_max),
+                                  /*workload_seed=*/3, cluster, *controller, sim,
+                                  sharded);
+  }
+  Workload workload =
+      Workload::poisson_exponential(20.0, config.mu_max, 3000.0, /*seed=*/3);
   return run_simulation(workload, cluster, *controller, sim);
 }
 
@@ -64,9 +80,15 @@ void expect_identical(const SimResult& a, const SimResult& b) {
 
 TEST(Recovery, WarmRestartIsBitIdenticalToPreserve) {
   // The headline invariant: rebuilding the facade from its own snapshot at
-  // the recovery instant is a state transplant, not an approximation.
-  expect_identical(run(ControllerRecoveryMode::kPreserve),
-                   run(ControllerRecoveryMode::kWarmRestart));
+  // the recovery instant is a state transplant, not an approximation.  Both
+  // engines drive the same control loop, so it holds for each.
+  for (const Engine engine : {Engine::kSequential, Engine::kSharded}) {
+    SCOPED_TRACE(engine == Engine::kSharded ? "sharded" : "sequential");
+    const SimResult preserve = run(ControllerRecoveryMode::kPreserve, false, engine);
+    EXPECT_GT(preserve.ticks_missed, 0u);
+    EXPECT_GT(preserve.completed_jobs, 10000u);
+    expect_identical(preserve, run(ControllerRecoveryMode::kWarmRestart, false, engine));
+  }
 }
 
 TEST(Recovery, WarmRestartSurvivesRandomOutageProcesses) {

@@ -5,10 +5,11 @@
 // function of its inputs and *independent of the shard count* — the same
 // configuration at K ∈ {1, 2, 4, 7} must produce bit-identical SimResult
 // checksums, byte-identical time-series CSVs and byte-identical audit
-// JSONL.  Two sharded goldens (K = 1 and K = 4 on the fig5-style diurnal
-// configuration) are pinned so cross-K agreement cannot drift silently as
-// a group, and the sequential engine's lossy-channel golden is re-asserted
-// to prove the sharded work left run_simulation untouched.
+// JSONL, and a traced run byte-identical Chrome trace JSON.  Two sharded
+// goldens (K = 1 and K = 4 on the fig5-style diurnal configuration) are
+// pinned so cross-K agreement cannot drift silently as a group, and the
+// sequential engine's lossy-channel golden is re-asserted to prove the
+// sharded work left run_simulation untouched.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -25,6 +26,7 @@
 #include "exp/scenario.h"
 #include "obs/audit.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "sim/sharded.h"
 #include "sim/simulation.h"
 #include "workload/trace.h"
@@ -112,7 +114,8 @@ struct ShardedRun {
   }
 
   [[nodiscard]] SimResult run(unsigned num_shards, DecisionAuditLog* audit,
-                              TimeSeriesRecorder* timeseries) const {
+                              TimeSeriesRecorder* timeseries,
+                              TraceCollector* trace_sink = nullptr) const {
     const Trace trace =
         Trace::from_profile(*scenario.profile, scenario.horizon_s, workload_seed);
     const Distribution job_size = Distribution::exponential(config.mu_max);
@@ -130,6 +133,7 @@ struct ShardedRun {
     sim.record_interval_s = 120.0;
     sim.audit = audit;
     sim.timeseries = timeseries;
+    sim.trace = trace_sink;
     ShardedOptions sharded;
     sharded.num_shards = num_shards;
     return run_sharded_simulation(trace, job_size, workload_seed, cluster,
@@ -139,8 +143,7 @@ struct ShardedRun {
 
 // The fig8-style degraded configuration: scripted + background faults,
 // boot hangs, admission control and a lossy, latent control channel with
-// the ack/retry actuator.  (No controller outages — those are
-// sequential-only and rejected by the sharded engine.)
+// the ack/retry actuator.
 ShardedRun make_degraded_run() {
   ShardedRun r;
   r.extra.faults.script = {{600.0, 0, 900.0},
@@ -166,16 +169,31 @@ ShardedRun make_degraded_run() {
   return r;
 }
 
+// The degraded configuration plus two scripted controller outages long
+// enough to trip the watchdog into safe mode, with a warm restart at each
+// recovery.
+ShardedRun make_outage_run() {
+  ShardedRun r = make_degraded_run();
+  r.extra.controller_faults.script = {{900.0, 120.0}, {1500.0, 200.0}};
+  r.extra.controller_faults.recovery = ControllerRecoveryMode::kWarmRestart;
+  return r;
+}
+
+[[nodiscard]] std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 [[nodiscard]] std::string csv_bytes(const TimeSeriesRecorder& ts,
                                     const std::string& tag) {
   const auto path = std::filesystem::temp_directory_path() /
                     ("gc_sharded_determinism_" + tag + ".csv");
   ts.write_csv(path);
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  std::string bytes = file_bytes(path);
   std::filesystem::remove(path);
-  return buffer.str();
+  return bytes;
 }
 
 struct RunArtifacts {
@@ -227,6 +245,61 @@ TEST(ShardedDeterminism, DegradedRunIsShardCountInvariant) {
     EXPECT_EQ(base.audit_jsonl, other.audit_jsonl) << "audit diverged at K=" << k;
     EXPECT_EQ(base.ts_csv, other.ts_csv) << "timeseries diverged at K=" << k;
   }
+}
+
+TEST(ShardedDeterminism, OutageRunIsShardCountInvariant) {
+  const ShardedRun spec = make_outage_run();
+  const RunArtifacts base = run_with_sinks(spec, 1, "outage");
+  // The orchestrator really ran the outage machinery.
+  EXPECT_GT(base.result.ticks_missed, 0u);
+  EXPECT_GT(base.result.safe_mode_entries, 0u);
+  EXPECT_GT(base.result.safe_mode_time_s, 0.0);
+  EXPECT_GT(base.result.counters.counter_or("control.ticks_missed", 0), 0u);
+  for (const unsigned k : kShardCounts) {
+    if (k == 1) continue;
+    const RunArtifacts other = run_with_sinks(spec, k, "outage");
+    EXPECT_EQ(base.sum, other.sum) << "checksum diverged at K=" << k;
+    EXPECT_EQ(base.audit_jsonl, other.audit_jsonl) << "audit diverged at K=" << k;
+    EXPECT_EQ(base.ts_csv, other.ts_csv) << "timeseries diverged at K=" << k;
+    EXPECT_EQ(base.result.ticks_missed, other.result.ticks_missed);
+    EXPECT_EQ(base.result.safe_mode_entries, other.result.safe_mode_entries);
+    EXPECT_EQ(base.result.safe_mode_time_s, other.result.safe_mode_time_s);
+  }
+}
+
+// The orchestrator emits the control loop's trace records (period spans,
+// solver instants, counter tracks), and the Chrome trace is byte-identical
+// across K.
+TEST(ShardedDeterminism, TracedRunEmitsControlSpansAndIsShardCountInvariant) {
+  if constexpr (!kTracingCompiledIn) GTEST_SKIP() << "built with GC_TRACING=OFF";
+  const ShardedRun spec = make_degraded_run();
+  std::string json[2];
+  const unsigned ks[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    TraceCollector trace;
+    const SimResult r = spec.run(ks[i], nullptr, nullptr, &trace);
+    std::size_t short_spans = 0, long_spans = 0, solver = 0, counters = 0;
+    for (const TraceRecord& rec : trace.records()) {
+      const std::string name = rec.name;
+      if (rec.phase == TracePhase::kComplete && name == "short-period") ++short_spans;
+      if (rec.phase == TracePhase::kComplete && name == "long-period") ++long_spans;
+      if (std::string(rec.cat) == "solver") ++solver;
+      if (rec.phase == TracePhase::kCounter) ++counters;
+    }
+    EXPECT_GT(short_spans, 0u) << "K=" << ks[i];
+    EXPECT_GT(long_spans, 0u) << "K=" << ks[i];
+    EXPECT_GT(solver, 0u) << "K=" << ks[i];
+    EXPECT_GT(counters, 0u) << "K=" << ks[i];
+    EXPECT_GT(r.counters.counter_or("obs.trace.emitted", 0), 0u);
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("gc_sharded_determinism_trace_k" + std::to_string(ks[i]) +
+                       ".json");
+    trace.write_chrome_json(path);
+    json[i] = file_bytes(path);
+    std::filesystem::remove(path);
+  }
+  EXPECT_FALSE(json[0].empty());
+  EXPECT_EQ(json[0], json[1]);
 }
 
 // Run-to-run determinism at a fixed K (thread scheduling must not leak).
