@@ -64,7 +64,6 @@ class ControlLoop {
       std::uint64_t shutdowns = 0;
     };
 
-    virtual ~Fleet() = default;
     [[nodiscard]] virtual unsigned size() const = 0;
     [[nodiscard]] virtual State state() const = 0;
     [[nodiscard]] virtual Totals totals() const = 0;
@@ -79,6 +78,10 @@ class ControlLoop {
     // Schedules a control-plane event on the engine's queue; it comes back
     // through ControlLoop::on_event().
     virtual void schedule(double at, EventType type, std::uint32_t subject) = 0;
+
+   protected:
+    // Engines own their fleet; nothing is deleted through this interface.
+    ~Fleet() = default;
   };
 
   // Builds the channel and the facade, seeds the facade's fleet view from

@@ -3,7 +3,7 @@
 //
 // Execution model: the orchestrator thread owns a small EventQueue holding
 // only control-plane events (ticks, record/warmup marks, delayed channel
-// deliveries).  Before handling the events at barrier time t it advances
+// deliveries, controller outage edges).  Before handling the events at barrier time t it advances
 // every shard — in parallel — through all shard-local events with time <= t
 // and all owned arrivals with time < t (a queue event wins a tie against an
 // arrival at the same instant).  Between barriers shards never communicate,

@@ -10,6 +10,13 @@
 // pinned so cross-K agreement cannot drift silently as a group, and the
 // sequential engine's lossy-channel golden is re-asserted to prove the
 // sharded work left run_simulation untouched.
+//
+// Both engines drive one control loop (sim/control_loop.h), so the last
+// section also pins its observable output byte for byte — SimResult plus
+// FNV-1a hashes of the audit JSONL and time-series CSV — for the sharded
+// degraded run and two sequential runs (lossy channel; scripted outages
+// with safe mode and warm restart).  The scalar goldens alone would let a
+// change that shifts every K the same way, or only the records, pass.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -43,6 +50,16 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 
 std::uint64_t mix(std::uint64_t h, double v) {
   return mix(h, std::bit_cast<std::uint64_t>(v));
+}
+
+// FNV-1a, 64 bit, over raw bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 // Same shape as the sequential golden checksum (tests/
@@ -374,11 +391,11 @@ TEST(ShardedDeterminism, ArrivalAccountingCloses) {
 }
 
 // -- sequential engine stays untouched ---------------------------------------
-//
-// The sequential lossy-channel golden from tests/test_obs_determinism.cpp,
-// re-asserted here so a sharded-core regression that leaks into shared code
-// (event queue, channel, actuator, server) fails in this suite too.
-TEST(ShardedDeterminism, SequentialLossyGoldenStillPinned) {
+
+// The sequential lossy-channel golden configuration from
+// tests/test_obs_determinism.cpp (faults, admission, lossy channel,
+// ack/retry actuator, one controller outage).
+SimResult run_sequential_lossy(DecisionAuditLog* audit, TimeSeriesRecorder* ts) {
   ClusterConfig config = bench_cluster_config();
   PolicyOptions popts;
   popts.dcp = bench_dcp_params();
@@ -413,8 +430,88 @@ TEST(ShardedDeterminism, SequentialLossyGoldenStillPinned) {
   sim.actuator.enabled = true;
   sim.actuator.ack_timeout_s = 2.0;
   sim.controller_faults.script = {{900.0, 120.0}};
-  const SimResult result = run_simulation(workload, cluster, *controller, sim);
-  EXPECT_EQ(checksum(result), 13159024489807549190ULL);
+  sim.audit = audit;
+  sim.timeseries = ts;
+  return run_simulation(workload, cluster, *controller, sim);
+}
+
+// tests/test_recovery.cpp's configuration: two scripted outages long
+// enough to trip the watchdog into safe mode, warm restart at each
+// recovery, plus a timeline.
+SimResult run_sequential_outage(DecisionAuditLog* audit, TimeSeriesRecorder* ts) {
+  ClusterConfig config;
+  config.max_servers = 8;
+  config.mu_max = 10.0;
+  config.t_ref_s = 0.5;
+  const Provisioner provisioner(config);
+  const auto controller = make_policy(PolicyKind::kCombinedDcp, &provisioner, {});
+  Workload workload =
+      Workload::poisson_exponential(20.0, config.mu_max, 3000.0, /*seed=*/3);
+  ClusterOptions cluster;
+  cluster.num_servers = config.max_servers;
+  cluster.initial_active = config.max_servers;
+  cluster.dispatch_seed = 11;
+  SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  sim.record_interval_s = 60.0;
+  sim.channel.enabled = true;
+  sim.actuator.enabled = true;
+  sim.actuator.ack_timeout_s = 5.0;
+  sim.controller_faults.script = {{600.0, 120.0}, {1800.0, 200.0}};
+  sim.controller_faults.recovery = ControllerRecoveryMode::kWarmRestart;
+  sim.audit = audit;
+  sim.timeseries = ts;
+  return run_simulation(workload, cluster, *controller, sim);
+}
+
+// Re-asserted here so a sharded-core regression that leaks into shared
+// code (event queue, channel, actuator, server) fails in this suite too.
+TEST(ShardedDeterminism, SequentialLossyGoldenStillPinned) {
+  EXPECT_EQ(checksum(run_sequential_lossy(nullptr, nullptr)), 13159024489807549190ULL);
+}
+
+// -- control-loop byte pins --------------------------------------------------
+
+struct BytePins {
+  std::uint64_t result = 0;
+  std::uint64_t audit = 0;
+  std::uint64_t timeseries = 0;
+};
+
+template <typename RunFn>
+BytePins pins_of(const std::string& tag, RunFn&& run) {
+  DecisionAuditLog audit;
+  TimeSeriesRecorder timeseries;
+  const SimResult result = run(&audit, &timeseries);
+  EXPECT_GT(audit.size(), 0u);
+  EXPECT_GT(timeseries.size(), 0u);
+  return {checksum(result), fnv1a(audit.to_jsonl()), fnv1a(csv_bytes(timeseries, tag))};
+}
+
+TEST(ShardedDeterminism, SequentialLossyBytesArePinned) {
+  const BytePins p = pins_of("seq_lossy", run_sequential_lossy);
+  EXPECT_EQ(p.result, 13159024489807549190ULL);
+  EXPECT_EQ(p.audit, 13031552830012359260ULL);
+  EXPECT_EQ(p.timeseries, 5827889155092280114ULL);
+}
+
+TEST(ShardedDeterminism, SequentialOutageBytesArePinned) {
+  const BytePins p = pins_of("seq_outage", [](DecisionAuditLog* audit,
+                                              TimeSeriesRecorder* ts) {
+    const SimResult r = run_sequential_outage(audit, ts);
+    EXPECT_GT(r.safe_mode_entries, 0u);
+    return r;
+  });
+  EXPECT_EQ(p.result, 9934956496571362188ULL);
+  EXPECT_EQ(p.audit, 11857591511439460936ULL);
+  EXPECT_EQ(p.timeseries, 4175024864952191884ULL);
+}
+
+TEST(ShardedDeterminism, DegradedRunBytesArePinnedAtK1) {
+  const RunArtifacts a = run_with_sinks(make_degraded_run(), 1, "degraded_pin");
+  EXPECT_EQ(a.sum, 12698049592747017007ULL);
+  EXPECT_EQ(fnv1a(a.audit_jsonl), 5939445336178309742ULL);
+  EXPECT_EQ(fnv1a(a.ts_csv), 4693085445886695564ULL);
 }
 
 }  // namespace
