@@ -3,10 +3,10 @@
 //
 // Execution model: the orchestrator thread owns a small EventQueue holding
 // only control-plane events (ticks, record/warmup marks, delayed channel
-// deliveries, controller outage edges).  Before handling the events at barrier time t it advances
-// every shard — in parallel — through all shard-local events with time <= t
-// and all owned arrivals with time < t (a queue event wins a tie against an
-// arrival at the same instant).  Between barriers shards never communicate,
+// deliveries, controller outage edges).  Before handling the events at
+// barrier time t it advances every shard — in parallel — through all
+// shard-local events with time <= t and all owned arrivals with time < t
+// (a queue event wins a tie against an arrival at the same instant).  Between barriers shards never communicate,
 // which is exactly the conservative-synchronization lookahead the DCP
 // control structure guarantees: commands, telemetry and admission updates
 // only happen at ticks.
