@@ -191,11 +191,11 @@ gc::SolverCacheStats trace_replay_cache_stats() {
 // through run_sharded_simulation over an M-server fleet split into K
 // shards, under the rule-based threshold autoscaler (no solver in the hot
 // path, so the measurement is the DES core, not Provisioner enumeration).
-// The arrival count grows with M so per-barrier O(M) work (reconcile
-// scans, canonical folds) never dominates the per-event work being
-// measured.  Fails the whole bench (exit, not a JSON entry) if the
-// EventQueue capacity hint did not hold: a steady-state reallocation means
-// expected_events_hint plumbing regressed.
+// The arrival count grows with M so the O(M) work left at the barriers
+// (the canonical power fold at each tick) never dominates the per-event
+// work being measured.  Fails the whole bench (exit, not a JSON entry) if
+// the EventQueue capacity hint did not hold: a steady-state reallocation
+// means expected_events_hint plumbing regressed.
 struct ShardedCell {
   unsigned shards = 0;
   unsigned servers = 0;
@@ -204,9 +204,12 @@ struct ShardedCell {
   double efficiency = 1.0;  // speedup / K
   // Engine self-profile (ShardProfile): how packed the barrier windows
   // were and how skewed the per-shard work was.  Imbalance explains a low
-  // efficiency number: barrier waits, not per-event cost.
+  // efficiency number: barrier waits, not per-event cost.  The event
+  // imbalance is the same skew counted in events instead of seconds —
+  // identical on every machine, so ci/check.sh can hard-gate it.
   double busy_fraction = 0.0;
   double imbalance = 0.0;
+  double event_imbalance = 0.0;
 };
 
 double sharded_cell_events_per_sec(unsigned k, unsigned m,
@@ -278,6 +281,7 @@ std::vector<ShardedCell> sharded_grid() {
       cell.events_per_sec = sharded_cell_events_per_sec(k, m, shard_profile);
       cell.busy_fraction = shard_profile.busy_fraction();
       cell.imbalance = shard_profile.imbalance();
+      cell.event_imbalance = shard_profile.event_imbalance();
       if (k == 1) base = cell.events_per_sec;
       cell.speedup = base > 0.0 ? cell.events_per_sec / base : 0.0;
       cell.efficiency = cell.speedup / static_cast<double>(k);
@@ -335,10 +339,10 @@ int main(int argc, char** argv) {
                  "    {\"shards\": %u, \"servers\": %u, "
                  "\"events_per_sec\": %.6e, \"speedup\": %.4f, "
                  "\"efficiency\": %.4f, \"busy_fraction\": %.4f, "
-                 "\"imbalance\": %.4f}%s\n",
+                 "\"imbalance\": %.4f, \"event_imbalance\": %.6f}%s\n",
                  cell.shards, cell.servers, cell.events_per_sec, cell.speedup,
                  cell.efficiency, cell.busy_fraction, cell.imbalance,
-                 i + 1 < grid.size() ? "," : "");
+                 cell.event_imbalance, i + 1 < grid.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"
@@ -357,9 +361,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(replay.misses),
               replay.hit_rate() * 100.0);
   for (const ShardedCell& cell : grid) {
-    std::printf("sharded     : K=%u M=%-6u %.3e ev/s  speedup %.2fx  eff %.0f%%\n",
-                cell.shards, cell.servers, cell.events_per_sec, cell.speedup,
-                cell.efficiency * 100.0);
+    std::printf(
+        "sharded     : K=%u M=%-6u %.3e ev/s  speedup %.2fx  eff %.0f%%  "
+        "event imbalance %.6f\n",
+        cell.shards, cell.servers, cell.events_per_sec, cell.speedup,
+        cell.efficiency * 100.0, cell.event_imbalance);
   }
   std::printf("wrote %s\n", path.c_str());
   return 0;

@@ -75,10 +75,11 @@ class TraceOut {
       audit_.write_csv(*prefix_ + ".audit.csv");
       {
         // The trace sink meters itself into the written snapshot so ring
-        // overflow is visible offline, not only on stderr.
+        // overflow is visible offline, not only on stderr.  The run
+        // already registered obs.trace.dropped (after its last record), so
+        // only the retained-record count is added.
         gc::CountersSnapshot snap = result.counters;
         snap.add_counter("obs.trace.records", trace_.size());
-        snap.add_counter("obs.trace.dropped", trace_.dropped());
         std::ofstream out(*prefix_ + ".counters.json");
         out << snap.to_json() << '\n';
         if (!out) {

@@ -585,6 +585,10 @@ void ControlLoop::finish(double now, SimResult& result, MetricRegistry& registry
   if (options_.audit != nullptr) {
     registry.counter("obs.audit.records").inc(options_.audit->size());
   }
+  // Close every still-open lifecycle record first: closing emits the
+  // commands' final trace records, which the obs.trace.* tallies count.
+  LifecycleTracker& lifecycle = cp().lifecycle();
+  lifecycle.finalize_all(now);
   if (trace_ != nullptr) {
     // These differ between tracing on and off by construction; determinism
     // comparisons must skip the "obs." namespace (tests/test_obs_determinism).
@@ -617,11 +621,9 @@ void ControlLoop::finish(double now, SimResult& result, MetricRegistry& registry
   }
   result.counters = registry.snapshot();
 
-  // Close every still-open lifecycle record and export the per-stage
-  // latency histograms + per-command timelines.  Like response_hist, these
-  // are purely observational and excluded from the determinism checksums.
-  LifecycleTracker& lifecycle = cp().lifecycle();
-  lifecycle.finalize_all(now);
+  // Export the per-stage latency histograms + per-command timelines.  Like
+  // response_hist, these are purely observational and excluded from the
+  // determinism checksums.
   result.lifecycle_ack_hist = lifecycle.ack_latency();
   result.lifecycle_apply_hist = lifecycle.apply_latency();
   result.lifecycle_e2e_hist = lifecycle.e2e_latency();

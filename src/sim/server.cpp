@@ -26,7 +26,7 @@ double Server::outstanding_work(double now) const {
     const double done = (now - progress_anchor_) * effective_rate();
     work += std::max(current_->remaining - done, 0.0);
   }
-  for (const Job& j : queue_) work += j.remaining;
+  for (std::size_t i = 0; i < queue_.size(); ++i) work += queue_[i].remaining;
   return work;
 }
 
@@ -78,7 +78,7 @@ std::vector<Job> Server::fail(double now) {
     orphans.push_back(*current_);
     current_.reset();
   }
-  for (const Job& j : queue_) orphans.push_back(j);
+  for (std::size_t i = 0; i < queue_.size(); ++i) orphans.push_back(queue_[i]);
   queue_.clear();
   state_ = PowerState::kFailed;
   draining_ = false;
@@ -102,10 +102,9 @@ void Server::sync_progress(double now) {
   progress_anchor_ = now;
 }
 
-void Server::start_next(double now) {
-  GC_CHECK(!current_ && !queue_.empty(), "start_next: nothing to start");
-  current_ = queue_.front();
-  queue_.pop_front();
+void Server::start_service(double now, const Job& job) {
+  GC_CHECK(!current_, "start_service: a job is already in service");
+  current_ = job;
   current_->start_service_time = now;
   progress_anchor_ = now;
 }
@@ -117,8 +116,7 @@ std::optional<double> Server::enqueue(double now, const Job& job) {
     queue_.push_back(job);
     return std::nullopt;
   }
-  queue_.push_back(job);
-  start_next(now);
+  start_service(now, job);
   meter_update(now);  // idle -> busy
   return completion_eta(now);
 }
@@ -141,7 +139,8 @@ Server::Completion Server::complete_current(double now) {
   result.finished.remaining = 0.0;
   current_.reset();
   if (!queue_.empty()) {
-    start_next(now);
+    start_service(now, queue_.front());
+    queue_.pop_front();
     result.next_eta = completion_eta(now);
   }
   meter_update(now);  // busy state may have changed

@@ -24,13 +24,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "power/energy_meter.h"
 #include "sim/event_queue.h"
 #include "sim/job.h"
+#include "sim/wait_queue.h"
 
 namespace gc {
 
@@ -114,7 +114,8 @@ class Server {
  private:
   // Banks work done since `progress_anchor_` at the current speed.
   void sync_progress(double now);
-  void start_next(double now);
+  // Puts `job` into service (requires !busy()).
+  void start_service(double now, const Job& job);
   void meter_update(double now);
 
   std::uint32_t index_;
@@ -124,7 +125,7 @@ class Server {
   double speed_;
   double rate_scale_;
   std::optional<Job> current_;
-  std::deque<Job> queue_;
+  WaitQueue queue_;
   double progress_anchor_ = 0.0;  // time at which current_->remaining was exact
   EnergyMeter meter_;
 };

@@ -16,15 +16,19 @@
 //   1. per-*server* RNG streams derived from (seed, global index) — never
 //      per-shard or shared streams;
 //   2. the frozen window assignment: arrival i maps to rank i mod m over
-//      the serving set frozen at the window start, so every shard computes
-//      its share of a global round-robin without seeing the other shards;
+//      the serving set frozen at the window start (ranks are assigned by
+//      one merge by global index at a barrier after a change), so every
+//      shard walks its share of a global round-robin without seeing the
+//      other shards;
 //   3. canonical reductions: every floating-point aggregate is folded from
 //      per-server partials in ascending global-server-index order on the
-//      orchestrator thread (integer totals commute and merge freely).
+//      orchestrator thread, across the interleaved shards (integer totals
+//      commute and merge freely).
 #include "sim/sharded.h"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -63,27 +67,6 @@ constexpr std::uint64_t kFaultSeedSalt = 0xfa7a17f00dULL;        // = run_simula
 constexpr std::uint64_t kAdmitSeedSalt = 0xad317755ULL;          // sharded-only
 constexpr std::uint64_t kAdmissionRngStream = 7;                 // = run_simulation
 
-// Index of the first arrival in block b*m + [rank0, rank0 + width) at or
-// after `i`, where m is the frozen global serving count and [rank0,
-// rank0 + width) this shard's frozen rank range.  A shard's owned arrivals
-// form one contiguous run per m-aligned block, so iteration is O(owned),
-// not O(all arrivals).
-[[nodiscard]] std::size_t first_owned_at_or_after(std::size_t i, std::size_t m,
-                                                  std::size_t rank0,
-                                                  std::size_t width) {
-  const std::size_t block = i / m;
-  const std::size_t pos = i - block * m;
-  if (pos < rank0) return block * m + rank0;
-  if (pos < rank0 + width) return i;
-  return (block + 1) * m + rank0;
-}
-
-[[nodiscard]] std::size_t next_owned(std::size_t i, std::size_t m,
-                                     std::size_t rank0, std::size_t width) {
-  const std::size_t pos = i % m;
-  return pos + 1 == rank0 + width ? i + m - width + 1 : i + 1;
-}
-
 // Per-server metric partials.  Floating-point members are folded in
 // canonical global-index order at barriers/end-of-run; never summed into
 // shard-level floats on the worker threads.
@@ -106,14 +89,18 @@ struct PerServerStats {
   std::uint64_t record_count = 0;
 };
 
-// One shard: a contiguous global-server-index range with its own event
-// queue, servers, RNG streams, serving-set index and accumulators.  All
-// methods run either on the shard's worker (between barriers) or on the
-// orchestrator thread (at barriers) — never both concurrently.
+// One shard: the servers whose global index gi satisfies gi % K == k,
+// stored at local index li = gi / K, with their own event queue, RNG
+// streams, serving-set bitmap and accumulators.  Interleaving keeps the
+// serving prefix [0, target) spread evenly over the shards however small
+// the target is.  Shard-local events carry the local index as their
+// subject.  All methods run either on the shard's worker (between
+// barriers) or on the orchestrator thread (at barriers) — never both
+// concurrently.
 struct Shard {
   // -- static configuration ------------------------------------------------
-  std::uint32_t first = 0;  // global index range [first, last)
-  std::uint32_t last = 0;
+  std::uint32_t index = 0;   // k
+  std::uint32_t stride = 1;  // K
   PowerModel power_model{};  // shard-local copy: stable address for Servers
   TransitionModel transition_model{};
   const Distribution* job_size = nullptr;
@@ -135,17 +122,23 @@ struct Shard {
   std::vector<char> background_armed;  // one background failure chain/server
 
   // O(1) fleet accounting (the sharded analogue of Cluster's
-  // apply_transition bookkeeping).
-  std::vector<std::uint32_t> serving_index;  // serving servers, ascending
+  // apply_transition bookkeeping).  The serving set is a bitmap over local
+  // indices: a transition flips one bit.
+  std::vector<std::uint64_t> serving_bits;
+  unsigned serving_n = 0;
   unsigned booting = 0;
   unsigned powered = 0;
   unsigned failed = 0;
   std::size_t jobs = 0;
 
   // Frozen round-robin assignment for the current window (copy-on-dirty:
-  // refreshed at a barrier only when the serving set changed).
+  // re-listed from the bitmap at a barrier only when the serving set
+  // changed).  `frozen` holds the serving local indices in ascending order;
+  // `owned_ranks[j]` is the global round-robin rank of frozen[j], assigned
+  // by the orchestrator's merge (ShardedFleet::freeze_window).
   bool serving_dirty = true;
   std::vector<std::uint32_t> frozen;
+  std::vector<std::uint32_t> owned_ranks;
 
   // Commanded control state, broadcast by the orchestrator at barriers.
   unsigned target = 0;
@@ -181,53 +174,66 @@ struct Shard {
   std::vector<std::uint32_t> window_touched;  // global indices, unsorted
   std::vector<std::uint32_t> record_touched;
 
-  [[nodiscard]] unsigned size() const noexcept { return last - first; }
-  [[nodiscard]] Server& server(std::uint32_t gi) noexcept {
-    return servers[gi - first];
+  [[nodiscard]] unsigned size() const noexcept {
+    return static_cast<unsigned>(servers.size());
   }
-  [[nodiscard]] unsigned serving_count() const noexcept {
-    return static_cast<unsigned>(serving_index.size());
+  [[nodiscard]] std::uint32_t global(std::uint32_t li) const noexcept {
+    return li * stride + index;
+  }
+  // Number of owned servers with a global index below `gi`.
+  [[nodiscard]] std::uint32_t owned_below(std::uint32_t gi) const noexcept {
+    return gi <= index ? 0 : (gi - index + stride - 1) / stride;
   }
   [[nodiscard]] unsigned committed_count() const noexcept {
-    return serving_count() + booting;
+    return serving_n + booting;
   }
   [[nodiscard]] unsigned available_count() const noexcept {
     return size() - failed;
   }
 
-  // Advances server gi's lazy time-integrals to `now` using its *current*
+  // Advances server li's lazy time-integrals to `now` using its *current*
   // state; must run before any mutation of that state.
-  void sync_stats(double now, std::uint32_t gi) {
-    PerServerStats& ps = stats[gi - first];
+  void sync_stats(double now, std::uint32_t li) {
+    PerServerStats& ps = stats[li];
     const double dt = now - ps.anchor;
     if (dt <= 0.0) return;
-    const Server& s = servers[gi - first];
+    const Server& s = servers[li];
     ps.jobs_integral += dt * static_cast<double>(s.queue_length());
     if (s.serving()) ps.serving_integral += dt;
     if (!s.failed()) ps.available_integral += dt;
     ps.anchor = now;
   }
 
-  void serving_insert(std::uint32_t gi) {
-    serving_index.insert(
-        std::lower_bound(serving_index.begin(), serving_index.end(), gi), gi);
+  void serving_insert(std::uint32_t li) {
+    serving_bits[li >> 6] |= std::uint64_t{1} << (li & 63);
+    ++serving_n;
     serving_dirty = true;
   }
-  void serving_erase(std::uint32_t gi) {
-    const auto it =
-        std::lower_bound(serving_index.begin(), serving_index.end(), gi);
-    GC_DCHECK(it != serving_index.end() && *it == gi,
-              "sharded: serving index out of sync");
-    serving_index.erase(it);
+  void serving_erase(std::uint32_t li) {
+    const std::uint64_t bit = std::uint64_t{1} << (li & 63);
+    GC_DCHECK((serving_bits[li >> 6] & bit) != 0, "sharded: serving set out of sync");
+    serving_bits[li >> 6] &= ~bit;
+    --serving_n;
     serving_dirty = true;
+  }
+  // Re-lists the serving set into `frozen`, ascending.
+  void refreeze() {
+    frozen.clear();
+    for (std::size_t w = 0; w < serving_bits.size(); ++w) {
+      for (std::uint64_t bits = serving_bits[w]; bits != 0; bits &= bits - 1) {
+        frozen.push_back(static_cast<std::uint32_t>(w * 64) +
+                         static_cast<std::uint32_t>(std::countr_zero(bits)));
+      }
+    }
+    serving_dirty = false;
   }
 
   // Runs a power-state mutation keeping the O(1) counters and the serving
-  // index in sync (the shard-side mirror of Cluster::apply_transition).
+  // set in sync (the shard-side mirror of Cluster::apply_transition).
   template <typename Fn>
-  void transition(double now, std::uint32_t gi, Fn&& mutate) {
-    Server& s = server(gi);
-    sync_stats(now, gi);
+  void transition(double now, std::uint32_t li, Fn&& mutate) {
+    Server& s = servers[li];
+    sync_stats(now, li);
     const PowerState before = s.state();
     const bool was_serving = s.serving();
     mutate(s);
@@ -245,7 +251,7 @@ struct Shard {
     }
     const bool is_serving = s.serving();
     if (was_serving != is_serving) {
-      is_serving ? serving_insert(gi) : serving_erase(gi);
+      is_serving ? serving_insert(li) : serving_erase(li);
     }
   }
 
@@ -256,73 +262,72 @@ struct Shard {
     return -faults->mttr_s * std::log(fault_rng[li].uniform01_open_left());
   }
 
-  void boot_server(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.start_boot(now); });
+  void boot_server(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.start_boot(now); });
     ++boots;
-    ++server_boots[gi - first];
-    Server& s = server(gi);
+    ++server_boots[li];
+    Server& s = servers[li];
     // Boot-hang draw from the server's own fault stream (the sequential
     // engine uses one shared stream; see DESIGN.md §11.1).  Drawn only when
     // the outcome can differ from a clean boot.
     if (faults != nullptr && faults->boot_hang_prob > 0.0 &&
-        fault_rng[gi - first].uniform01() < faults->boot_hang_prob) {
+        fault_rng[li].uniform01() < faults->boot_hang_prob) {
       s.pending_transition =
-          queue.schedule(now + boot_timeout_s, EventType::kBootTimeout, gi);
+          queue.schedule(now + boot_timeout_s, EventType::kBootTimeout, li);
     } else {
       s.pending_transition = queue.schedule(
-          now + transition_model.boot_delay_s, EventType::kBootComplete, gi);
+          now + transition_model.boot_delay_s, EventType::kBootComplete, li);
     }
   }
 
-  void start_drain(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.set_draining(now, true); });
-    maybe_begin_shutdown(now, gi);
+  void start_drain(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.set_draining(now, true); });
+    maybe_begin_shutdown(now, li);
   }
 
-  void maybe_begin_shutdown(double now, std::uint32_t gi) {
-    Server& s = server(gi);
+  void maybe_begin_shutdown(double now, std::uint32_t li) {
+    Server& s = servers[li];
     if (s.state() != PowerState::kOn || !s.draining() || s.queue_length() != 0) {
       return;
     }
-    transition(now, gi, [&](Server& sv) { sv.begin_shutdown(now); });
+    transition(now, li, [&](Server& sv) { sv.begin_shutdown(now); });
     ++shutdowns;
-    ++server_shutdowns[gi - first];
+    ++server_shutdowns[li];
     s.pending_transition = queue.schedule(
-        now + transition_model.shutdown_delay_s, EventType::kShutdownComplete, gi);
+        now + transition_model.shutdown_delay_s, EventType::kShutdownComplete, li);
   }
 
-  void on_boot_complete(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.finish_boot(now); });
-    server(gi).pending_transition = kInvalidEventId;
-    // The target may have moved below gi while this boot was in flight.
-    if (gi >= target) start_drain(now, gi);
+  void on_boot_complete(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.finish_boot(now); });
+    servers[li].pending_transition = kInvalidEventId;
+    // The target may have moved below this server while it booted.
+    if (global(li) >= target) start_drain(now, li);
   }
 
-  void on_shutdown_complete(double now, std::uint32_t gi) {
-    transition(now, gi, [&](Server& s) { s.finish_shutdown(now); });
-    server(gi).pending_transition = kInvalidEventId;
-    if (gi < target) boot_server(now, gi);
+  void on_shutdown_complete(double now, std::uint32_t li) {
+    transition(now, li, [&](Server& s) { s.finish_shutdown(now); });
+    servers[li].pending_transition = kInvalidEventId;
+    if (global(li) < target) boot_server(now, li);
   }
 
   // Fail-stop crash: cancel the server's pending events, orphan its jobs
   // (lost — the sharded model never re-dispatches across the frozen
   // assignment) and count the failure.
-  void crash(double now, std::uint32_t gi, bool from_boot_timeout) {
-    Server& s = server(gi);
+  void crash(double now, std::uint32_t li, bool from_boot_timeout) {
+    Server& s = servers[li];
     queue.cancel(s.pending_departure);
     s.pending_departure = kInvalidEventId;
     queue.cancel(s.pending_transition);
     s.pending_transition = kInvalidEventId;
     std::vector<Job> orphans;
-    transition(now, gi, [&](Server& sv) { orphans = sv.fail(now); });
+    transition(now, li, [&](Server& sv) { orphans = sv.fail(now); });
     jobs -= orphans.size();
     lost += orphans.size();
     ++failures;
     if (from_boot_timeout) ++boot_timeouts;
   }
 
-  void on_fail_event(double now, std::uint32_t gi) {
-    const std::uint32_t li = gi - first;
+  void on_fail_event(double now, std::uint32_t li) {
     // Scripted kServerFail events carry their exact scripted time; matched
     // FIFO per server against the background failure chain.
     bool scripted = false;
@@ -335,87 +340,105 @@ struct Shard {
     } else {
       background_armed[li] = 0;
     }
-    const PowerState st = server(gi).state();
+    const PowerState st = servers[li].state();
     const bool can_crash = st == PowerState::kBooting || st == PowerState::kOn ||
                            st == PowerState::kShuttingDown;
     if (scripted) {
       if (!can_crash) return;  // already OFF/FAILED: the script misses
-      crash(now, gi, /*from_boot_timeout=*/false);
+      crash(now, li, /*from_boot_timeout=*/false);
       if (std::isfinite(repair_after)) {
-        queue.schedule(now + repair_after, EventType::kServerRepair, gi);
+        queue.schedule(now + repair_after, EventType::kServerRepair, li);
       }
       return;
     }
     if (!can_crash) {
       // Unpowered when the clock fired: restart the background clock.
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, gi);
+      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
       background_armed[li] = 1;
       return;
     }
-    crash(now, gi, /*from_boot_timeout=*/false);
-    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, gi);
+    crash(now, li, /*from_boot_timeout=*/false);
+    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
   }
 
-  void on_repair_event(double now, std::uint32_t gi) {
-    Server& s = server(gi);
-    if (s.state() != PowerState::kFailed) return;
-    transition(now, gi, [&](Server& sv) { sv.finish_repair(now); });
+  void on_repair_event(double now, std::uint32_t li) {
+    if (servers[li].state() != PowerState::kFailed) return;
+    transition(now, li, [&](Server& sv) { sv.finish_repair(now); });
     ++repairs;
-    const std::uint32_t li = gi - first;
     if (faults != nullptr && faults->mtbf_s > 0.0 && !background_armed[li]) {
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, gi);
+      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
       background_armed[li] = 1;
     }
-    if (gi < target) boot_server(now, gi);
+    if (global(li) < target) boot_server(now, li);
   }
 
-  void on_boot_timeout(double now, std::uint32_t gi) {
-    Server& s = server(gi);
+  void on_boot_timeout(double now, std::uint32_t li) {
+    Server& s = servers[li];
     if (s.state() != PowerState::kBooting) return;
     s.pending_transition = kInvalidEventId;  // this event
-    crash(now, gi, /*from_boot_timeout=*/true);
-    queue.schedule(now + sample_ttr(gi - first), EventType::kServerRepair, gi);
+    crash(now, li, /*from_boot_timeout=*/true);
+    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
   }
 
-  // Reconciles towards the committed prefix [0, new_target): ascending scan
-  // of the shard's range (deterministic order), booting OFF servers below
-  // the target, reviving draining ones, draining serving ones at or above.
+  // The event handlers keep every server settled against the target:
+  // below it none is OFF or draining (OFF ones boot, draining ones were
+  // revived), at or above it none is serving (serving ones drain).  True
+  // when that holds for every owned server outside local range [lo, hi).
+  [[nodiscard]] bool settled_outside(std::uint32_t lo, std::uint32_t hi) const {
+    for (std::uint32_t li = 0; li < size(); ++li) {
+      if (li >= lo && li < hi) continue;
+      const Server& s = servers[li];
+      const bool settled = global(li) < target
+                               ? s.state() != PowerState::kOff && !s.draining()
+                               : !s.serving();
+      if (!settled) return false;
+    }
+    return true;
+  }
+
+  // Reconciles towards the committed prefix [0, new_target): boots OFF
+  // servers below the target, revives draining ones and drains serving
+  // ones at or above it.  Only servers between the old and the new target
+  // can need any of that (settled_outside), so the ascending walk covers
+  // just those — O(servers that change), not O(shard).
   void reconcile(double now, unsigned new_target) {
+    const std::uint32_t lo = owned_below(std::min(target, new_target));
+    const std::uint32_t hi = owned_below(std::max(target, new_target));
     target = new_target;
-    for (std::uint32_t gi = first; gi < last; ++gi) {
-      Server& s = server(gi);
-      if (gi < target) {
+    GC_DCHECK(settled_outside(lo, hi), "sharded: server unsettled outside reconcile range");
+    for (std::uint32_t li = lo; li < hi; ++li) {
+      Server& s = servers[li];
+      if (global(li) < target) {
         if (s.state() == PowerState::kOff) {
-          boot_server(now, gi);
+          boot_server(now, li);
         } else if (s.state() == PowerState::kOn && s.draining()) {
-          transition(now, gi, [&](Server& sv) { sv.set_draining(now, false); });
+          transition(now, li, [&](Server& sv) { sv.set_draining(now, false); });
         }
         // BOOTING / SHUTTING_DOWN / FAILED catch up from their completion
         // events; an ON serving server is already where it should be.
       } else if (s.serving()) {
-        start_drain(now, gi);
+        start_drain(now, li);
       }
     }
   }
 
   void set_speed_all(double now, double speed) {
+    // Every server already runs at the commanded speed, so an unchanged
+    // command is a no-op.
+    if (speed == commanded_speed) return;
     commanded_speed = speed;
-    for (std::uint32_t gi = first; gi < last; ++gi) {
-      Server& s = server(gi);
+    for (std::uint32_t li = 0; li < size(); ++li) {
+      Server& s = servers[li];
       const auto eta = s.set_speed(now, speed);
       if (eta) {
         queue.cancel(s.pending_departure);
-        s.pending_departure = queue.schedule(*eta, EventType::kDeparture, gi);
+        s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
       }
     }
   }
 
-  void on_arrival(double now, std::size_t index, std::size_t window_m,
-                  std::size_t rank0) {
+  void on_arrival(double now, std::size_t arrival, std::uint32_t li) {
     ++events[static_cast<std::size_t>(EventType::kArrival)];
-    const std::uint32_t gi =
-        frozen[static_cast<std::size_t>(index % window_m) - rank0];
-    const std::uint32_t li = gi - first;
     if (admission_on && p_admit < 1.0) {
       // Shed draw from the assigned server's admission stream; drawn only
       // when the outcome is in doubt (p == 1 admits draw-free).
@@ -433,30 +456,30 @@ struct Shard {
       ++dropped;
       return;
     }
-    sync_stats(now, gi);
+    sync_stats(now, li);
     Job job;
-    job.id = static_cast<std::uint64_t>(index);
+    job.id = static_cast<std::uint64_t>(arrival);
     job.arrival_time = now;
     job.size = job.remaining = job_size->sample(size_rng[li]);
     ++jobs;
     const auto eta = s.enqueue(now, job);
     if (eta) {
-      s.pending_departure = queue.schedule(*eta, EventType::kDeparture, gi);
+      s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
     }
   }
 
-  void on_departure(double now, std::uint32_t gi) {
-    Server& s = server(gi);
-    sync_stats(now, gi);
+  void on_departure(double now, std::uint32_t li) {
+    Server& s = servers[li];
+    sync_stats(now, li);
     const auto completion = s.complete_current(now);
     s.pending_departure =
         completion.next_eta
-            ? queue.schedule(*completion.next_eta, EventType::kDeparture, gi)
+            ? queue.schedule(*completion.next_eta, EventType::kDeparture, li)
             : kInvalidEventId;
     --jobs;
     const double response = now - completion.finished.arrival_time;
     if (measuring) {
-      PerServerStats& ps = stats[gi - first];
+      PerServerStats& ps = stats[li];
       ++ps.completed;
       ps.response_sum += response;
       if (response > ps.response_max) ps.response_max = response;
@@ -466,17 +489,17 @@ struct Shard {
         window_hist.add(response);
         ++window_completed;
         if (response > t_ref_s) ++window_violations;
-        if (ps.window_count == 0) window_touched.push_back(gi);
+        if (ps.window_count == 0) window_touched.push_back(global(li));
         ps.window_sum += response;
         ++ps.window_count;
       }
       if (track_record) {
-        if (ps.record_count == 0) record_touched.push_back(gi);
+        if (ps.record_count == 0) record_touched.push_back(global(li));
         ps.record_sum += response;
         ++ps.record_count;
       }
     }
-    if (!completion.next_eta) maybe_begin_shutdown(now, gi);
+    if (!completion.next_eta) maybe_begin_shutdown(now, li);
   }
 
   void dispatch(const Event& event) {
@@ -502,15 +525,27 @@ struct Shard {
 
   // Advances the shard through one lookahead window: every queued event
   // with time <= barrier and every owned arrival in [lo, hi) — arrival
-  // times are < barrier by construction.  A queue event at an arrival's
-  // exact time runs first.
+  // times are < barrier by construction.  Arrival i belongs to the server
+  // of global rank i mod m, so this shard's arrivals are b*m + owned_ranks[j]
+  // for consecutive blocks b, walked in order without touching the others'.
+  // A queue event at an arrival's exact time runs first.
   void advance_to(double barrier, const std::vector<double>& arrivals,
-                  std::size_t lo, std::size_t hi, std::size_t window_m,
-                  std::size_t rank0) {
-    const std::size_t width = frozen.size();
+                  std::size_t lo, std::size_t hi, std::size_t window_m) {
+    const std::size_t owned = owned_ranks.size();
+    std::size_t block = 0;
+    std::size_t j = 0;
     std::size_t next_arrival = hi;
-    if (window_m > 0 && width > 0 && lo < hi) {
-      next_arrival = first_owned_at_or_after(lo, window_m, rank0, width);
+    if (window_m > 0 && owned > 0 && lo < hi) {
+      block = lo / window_m;
+      j = static_cast<std::size_t>(
+          std::lower_bound(owned_ranks.begin(), owned_ranks.end(),
+                           lo - block * window_m) -
+          owned_ranks.begin());
+      if (j == owned) {
+        j = 0;
+        ++block;
+      }
+      next_arrival = block * window_m + owned_ranks[j];
     }
     for (;;) {
       const double ta = next_arrival < hi ? arrivals[next_arrival] : kInfTime;
@@ -521,8 +556,12 @@ struct Shard {
         continue;
       }
       if (next_arrival < hi) {
-        on_arrival(arrivals[next_arrival], next_arrival, window_m, rank0);
-        next_arrival = next_owned(next_arrival, window_m, rank0, width);
+        on_arrival(arrivals[next_arrival], next_arrival, frozen[j]);
+        if (++j == owned) {
+          j = 0;
+          ++block;
+        }
+        next_arrival = block * window_m + owned_ranks[j];
         continue;
       }
       break;
@@ -532,9 +571,8 @@ struct Shard {
   // Warmup barrier: flush and snapshot energy, zero the time-integrals, and
   // start recording response statistics.
   void begin_measuring(double now) {
-    for (std::uint32_t gi = first; gi < last; ++gi) {
-      sync_stats(now, gi);
-      const std::uint32_t li = gi - first;
+    for (std::uint32_t li = 0; li < size(); ++li) {
+      sync_stats(now, li);
       Server& s = servers[li];
       s.flush_energy(now);
       warm_energy[li] =
@@ -550,24 +588,29 @@ struct Shard {
   }
 
   void finalize(double now) {
-    for (std::uint32_t gi = first; gi < last; ++gi) {
-      sync_stats(now, gi);
-      server(gi).flush_energy(now);
+    for (std::uint32_t li = 0; li < size(); ++li) {
+      sync_stats(now, li);
+      servers[li].flush_energy(now);
     }
+  }
+
+  // Events this shard processed: queue pops plus owned arrivals.
+  [[nodiscard]] std::uint64_t events_total() const noexcept {
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : events) total += n;
+    return total;
   }
 };
 
 // The orchestrator's view of the K shards: O(K) integer fleet totals,
-// canonical-order floating-point folds and the fan-out of commanded targets
-// and speeds.  It is the sharded engine's side of the control loop
-// (sim/control_loop.h); every method runs on the orchestrator thread at a
-// barrier.
+// canonical-order floating-point folds, the frozen-window merge and the
+// fan-out of commanded targets and speeds.  It is the sharded engine's
+// side of the control loop (sim/control_loop.h); every method runs on the
+// orchestrator thread at a barrier.
 struct ShardedFleet final : ControlLoop::Fleet {
   std::vector<std::unique_ptr<Shard>> shards;
   ThreadPool* pool = nullptr;
   unsigned num_servers = 0;
-  unsigned shard_base = 0;   // contiguous ranges: the first shard_extra
-  unsigned shard_extra = 0;  // shards hold shard_base + 1 servers
   const WearModel* wear = nullptr;
   EventQueue* orchestrator = nullptr;
   // Engine state the totals read.
@@ -578,8 +621,11 @@ struct ShardedFleet final : ControlLoop::Fleet {
   // The last applied speed command and its time average.
   double commanded_speed = 1.0;
   TimeWeightedAccumulator speed_avg{0.0};
-  // Window-fold scratch.
+  // Global serving count m of the current frozen window.
+  std::size_t window_m = 0;
+  // Window-fold and merge scratch.
   std::vector<std::uint32_t> touched_scratch;
+  std::vector<std::size_t> merge_cursor;
   LogHistogram window_hist_merged;
 
   void parallel(const std::function<void(std::size_t)>& body) {
@@ -590,12 +636,59 @@ struct ShardedFleet final : ControlLoop::Fleet {
     }
   }
 
-  // Maps a global server index to its owning shard.
+  // Global server index gi lives on shard gi % K at local index gi / K.
   [[nodiscard]] Shard& shard_of(std::uint32_t gi) const {
-    const std::uint32_t boundary = shard_extra * (shard_base + 1);
-    const std::uint32_t k = gi < boundary ? gi / (shard_base + 1)
-                                          : shard_extra + (gi - boundary) / shard_base;
-    return *shards[k];
+    return *shards[gi % shards.size()];
+  }
+  [[nodiscard]] PerServerStats& stats_of(std::uint32_t gi) const {
+    return shard_of(gi).stats[gi / shards.size()];
+  }
+
+  // Visits every server in ascending global index — the canonical fold
+  // order — as fn(shard, local index, global index).
+  template <typename Fn>
+  void for_each_server(Fn&& fn) const {
+    for (std::uint32_t li = 0, gi = 0; gi < num_servers; ++li) {
+      for (std::size_t k = 0; k < shards.size() && gi < num_servers; ++k, ++gi) {
+        const Shard& s = *shards[k];
+        fn(s, li, gi);
+      }
+    }
+  }
+
+  // Freezes the round-robin assignment for the next window.  Only when a
+  // serving set changed since the last window: the dirty shards re-list
+  // theirs, and one merge of all frozen lists by global index hands every
+  // shard the global ranks of the servers it owns.  Global index
+  // li * K + k ascends row by row over local indices, so the merge visits
+  // the rows holding a serving server in order and ranks each row's
+  // entries by ascending shard.
+  void freeze_window() {
+    bool dirty = false;
+    for (const auto& s : shards) {
+      if (s->serving_dirty) {
+        s->refreeze();
+        dirty = true;
+      }
+    }
+    if (!dirty) return;
+    merge_cursor.assign(shards.size(), 0);
+    for (const auto& s : shards) s->owned_ranks.resize(s->frozen.size());
+    std::uint32_t rank = 0;
+    for (;;) {
+      std::uint32_t row = std::numeric_limits<std::uint32_t>::max();
+      for (std::size_t k = 0; k < shards.size(); ++k) {
+        const std::vector<std::uint32_t>& frozen = shards[k]->frozen;
+        if (merge_cursor[k] < frozen.size()) row = std::min(row, frozen[merge_cursor[k]]);
+      }
+      if (row == std::numeric_limits<std::uint32_t>::max()) break;
+      for (std::size_t k = 0; k < shards.size(); ++k) {
+        Shard& s = *shards[k];
+        std::size_t& c = merge_cursor[k];
+        if (c < s.frozen.size() && s.frozen[c] == row) s.owned_ranks[c++] = rank++;
+      }
+    }
+    window_m = rank;
   }
 
   // Whole-run job-loss and fault tallies (integer sums, any order).
@@ -628,8 +721,7 @@ struct ShardedFleet final : ControlLoop::Fleet {
     double total = 0.0;
     std::uint64_t count = 0;
     for (const std::uint32_t gi : touched_scratch) {
-      Shard& s = shard_of(gi);
-      PerServerStats& ps = s.stats[gi - s.first];
+      PerServerStats& ps = stats_of(gi);
       total += ps.record_sum;
       count += ps.record_count;
       ps.record_sum = 0.0;
@@ -643,7 +735,7 @@ struct ShardedFleet final : ControlLoop::Fleet {
   State state() const override {
     State st;
     for (const auto& s : shards) {
-      st.serving += s->serving_count();
+      st.serving += s->serving_n;
       st.committed += s->committed_count();
       st.powered += s->powered;
       st.available += s->available_count();
@@ -664,23 +756,19 @@ struct ShardedFleet final : ControlLoop::Fleet {
     return t;
   }
   double power_w() const override {
-    // Shards are contiguous ascending ranges, so this is the canonical
-    // global-server-index fold.
     double watts = 0.0;
-    for (const auto& s : shards) {
-      for (const Server& server : s->servers) watts += server.instantaneous_power();
-    }
+    for_each_server([&](const Shard& s, std::uint32_t li, std::uint32_t) {
+      watts += s.servers[li].instantaneous_power();
+    });
     return watts;
   }
   double speed() const override { return commanded_speed; }
   double wear_mean() const override {
     if (!wear->enabled()) return 0.0;
     double total = 0.0;
-    for (const auto& s : shards) {
-      for (std::uint32_t li = 0; li < s->size(); ++li) {
-        total += wear->wear_fraction(s->server_boots[li], s->server_shutdowns[li]);
-      }
-    }
+    for_each_server([&](const Shard& s, std::uint32_t li, std::uint32_t) {
+      total += wear->wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+    });
     return total / static_cast<double>(num_servers);
   }
   // Fold + reset the per-tick response window across shards.  The mean is
@@ -704,8 +792,7 @@ struct ShardedFleet final : ControlLoop::Fleet {
     std::sort(touched_scratch.begin(), touched_scratch.end());
     double total = 0.0;
     for (const std::uint32_t gi : touched_scratch) {
-      Shard& s = shard_of(gi);
-      PerServerStats& ps = s.stats[gi - s.first];
+      PerServerStats& ps = stats_of(gi);
       total += ps.window_sum;
       ps.window_sum = 0.0;
       ps.window_count = 0;
@@ -753,6 +840,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   const unsigned num_shards = std::min(sharded.num_shards, num_servers);
   if (sharded.profile != nullptr) {
     sharded.profile->shard_busy_s.assign(num_shards, 0.0);
+    sharded.profile->shard_events.assign(num_shards, 0);
     sharded.profile->barrier_wall_s = 0.0;
     sharded.profile->barriers = 0;
   }
@@ -779,21 +867,17 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   ShardedFleet fleet;
   fleet.pool = sharded.pool != nullptr ? sharded.pool : &global_pool();
   fleet.num_servers = num_servers;
-  fleet.shard_base = num_servers / num_shards;
-  fleet.shard_extra = num_servers % num_shards;
   fleet.wear = &wear;
   fleet.orchestrator = &orchestrator;
   fleet.commanded_speed = cluster.initial_speed;
   std::vector<std::unique_ptr<Shard>>& shards = fleet.shards;
   shards.reserve(num_shards);
   {
-    std::uint32_t next_first = 0;
     for (unsigned k = 0; k < num_shards; ++k) {
       auto shard = std::make_unique<Shard>();
       Shard& s = *shard;
-      s.first = next_first;
-      s.last = next_first + fleet.shard_base + (k < fleet.shard_extra ? 1 : 0);
-      next_first = s.last;
+      s.index = k;
+      s.stride = num_shards;
       s.power_model = PowerModel(cluster.power);
       s.transition_model = cluster.transition;
       s.job_size = &job_size;
@@ -807,27 +891,29 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       if (options.expected_events_hint > 0) {
         s.queue.reserve(options.expected_events_hint / num_shards + 1);
       }
-      const unsigned count = s.size();
+      const unsigned count = s.owned_below(num_servers);
       s.servers.reserve(count);
       s.size_rng.reserve(count);
       s.stats.resize(count);
       s.warm_energy.resize(count);
       s.server_boots.assign(count, 0);
       s.server_shutdowns.assign(count, 0);
-      for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
+      s.serving_bits.assign((count + 63) / 64, 0);
+      for (std::uint32_t li = 0; li < count; ++li) {
+        const std::uint32_t gi = s.global(li);
         const bool initially_on = gi < initial_active;
         s.servers.emplace_back(gi, &s.power_model, cluster.initial_speed,
                                initially_on, 0.0);
         s.size_rng.emplace_back(workload_seed, gi);
         if (initially_on) {
-          s.serving_index.push_back(gi);
+          s.serving_insert(li);
           ++s.powered;
         }
       }
       if (options.admission.enabled) {
         s.admit_rng.reserve(count);
-        for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
-          s.admit_rng.emplace_back(workload_seed ^ kAdmitSeedSalt, gi);
+        for (std::uint32_t li = 0; li < count; ++li) {
+          s.admit_rng.emplace_back(workload_seed ^ kAdmitSeedSalt, s.global(li));
         }
       }
       if (options.faults.enabled()) {
@@ -836,17 +922,17 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
                                ? options.faults.boot_timeout_s
                                : 3.0 * cluster.transition.boot_delay_s;
         s.fault_rng.reserve(count);
-        for (std::uint32_t gi = s.first; gi < s.last; ++gi) {
-          s.fault_rng.emplace_back(fault_seed, gi);
+        for (std::uint32_t li = 0; li < count; ++li) {
+          s.fault_rng.emplace_back(fault_seed, s.global(li));
         }
         s.scripted_times.resize(count);
         s.scripted_repair.resize(count);
         s.scripted_next.assign(count, 0);
         s.background_armed.assign(count, 0);
         for (const ScriptedFault& f : options.faults.script) {
-          if (f.server >= s.first && f.server < s.last) {
-            s.scripted_times[f.server - s.first].push_back(f.time);
-            s.scripted_repair[f.server - s.first].push_back(f.repair_after_s);
+          if (f.server < num_servers && f.server % num_shards == k) {
+            s.scripted_times[f.server / num_shards].push_back(f.time);
+            s.scripted_repair[f.server / num_shards].push_back(f.repair_after_s);
           }
         }
         for (std::uint32_t li = 0; li < count; ++li) {
@@ -867,11 +953,10 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
           times = std::move(st);
           reps = std::move(sr);
           for (const double t : times) {
-            s.queue.schedule(t, EventType::kServerFail, s.first + li);
+            s.queue.schedule(t, EventType::kServerFail, li);
           }
           if (options.faults.mtbf_s > 0.0) {
-            s.queue.schedule(s.sample_ttf(li), EventType::kServerFail,
-                             s.first + li);
+            s.queue.schedule(s.sample_ttf(li), EventType::kServerFail, li);
             s.background_armed[li] = 1;
           }
         }
@@ -886,23 +971,12 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   std::array<std::uint64_t, kNumEventTypes> orchestrator_events{};
 
   double now = 0.0;
-  std::size_t window_m = 0;
-  std::vector<std::size_t> window_rank0(num_shards, 0);
 
   // Advances every shard to `barrier` behind a freshly frozen assignment.
   auto advance_barrier = [&](double barrier) {
     if (barrier <= now) return;
-    std::size_t rank = 0;
-    for (unsigned k = 0; k < num_shards; ++k) {
-      Shard& s = *shards[k];
-      if (s.serving_dirty) {
-        s.frozen = s.serving_index;
-        s.serving_dirty = false;
-      }
-      window_rank0[k] = rank;
-      rank += s.frozen.size();
-    }
-    window_m = rank;
+    fleet.freeze_window();
+    const std::size_t window_m = fleet.window_m;
     const std::size_t lo = fleet.cursor;
     const std::size_t hi = static_cast<std::size_t>(
         std::lower_bound(arrivals.begin() + static_cast<std::ptrdiff_t>(lo),
@@ -919,8 +993,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       const auto wall0 = clock::now();
       fleet.parallel([&](std::size_t k) {
         const auto t0 = clock::now();
-        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
-                              window_rank0[k]);
+        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m);
         prof->shard_busy_s[k] +=
             std::chrono::duration<double>(clock::now() - t0).count();
       });
@@ -929,8 +1002,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
       ++prof->barriers;
     } else {
       fleet.parallel([&](std::size_t k) {
-        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m,
-                              window_rank0[k]);
+        shards[k]->advance_to(barrier, arrivals, lo, arrivals_hi, window_m);
       });
     }
     fleet.cursor = hi;
@@ -946,6 +1018,18 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   // Whole-run totals at the warmup barrier.
   ControlLoop::Fleet::Totals warm_totals;
   ShardedFleet::LossTotals warm_losses;
+
+  // Takes the warm snapshots: the measured interval starts at `t`.
+  auto begin_measuring = [&](double t) {
+    fleet.parallel([&](std::size_t k) { shards[k]->begin_measuring(t); });
+    measuring = true;
+    measure_start = t;
+    warm_totals = fleet.totals();
+    warm_losses = fleet.loss_totals();
+    control.end_warmup();
+    fleet.speed_avg.advance(t, fleet.commanded_speed);
+    fleet.speed_avg = TimeWeightedAccumulator(t);
+  };
 
   auto handle_record = [&](double t) {
     TimelinePoint point;
@@ -1013,17 +1097,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
         break;
       }
       case EventType::kRecord: handle_record(t); break;
-      case EventType::kWarmupEnd: {
-        fleet.parallel([&](std::size_t k) { shards[k]->begin_measuring(t); });
-        measuring = true;
-        measure_start = t;
-        warm_totals = fleet.totals();
-        warm_losses = fleet.loss_totals();
-        control.end_warmup();
-        fleet.speed_avg.advance(t, fleet.commanded_speed);
-        fleet.speed_avg = TimeWeightedAccumulator(t);
-        break;
-      }
+      case EventType::kWarmupEnd: begin_measuring(t); break;
       case EventType::kTelemetryDeliver:
       case EventType::kCommandDeliver:
       case EventType::kAckDeliver:
@@ -1040,8 +1114,10 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   }
 
   fleet.parallel([&](std::size_t k) { shards[k]->finalize(end_time); });
+  // The workload drained before the warmup ended: there is no measured
+  // interval at all.  Report an empty (not a warmup-polluted) result.
+  if (!measuring) begin_measuring(end_time);
   fleet.speed_avg.advance(end_time, fleet.commanded_speed);
-  if (!measuring) measure_start = end_time;
   const double sim_time = end_time - measure_start;
 
   // -- canonical fold into SimResult ---------------------------------------
@@ -1057,32 +1133,31 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   LogHistogram response_hist;
   result.server_cycles.resize(num_servers);
   double wear_sum = 0.0;
-  for (const auto& sp : shards) {
-    const Shard& s = *sp;
-    violations += s.violations;
-    response_hist.merge(s.response_hist);
-    for (std::uint32_t li = 0; li < s.size(); ++li) {
-      const PerServerStats& ps = s.stats[li];
-      completed += ps.completed;
-      response_sum += ps.response_sum;
-      if (ps.response_max > response_max) response_max = ps.response_max;
-      jobs_integral += ps.jobs_integral;
-      serving_integral += ps.serving_integral;
-      available_integral += ps.available_integral;
-      const EnergyMeter& meter = s.servers[li].meter();
-      energy.busy_j += meter.joules_busy() - s.warm_energy[li].busy_j;
-      energy.idle_j += meter.joules_idle() - s.warm_energy[li].idle_j;
-      energy.transition_j +=
-          meter.joules_transition() - s.warm_energy[li].transition_j;
-      energy.off_j += meter.joules_off() - s.warm_energy[li].off_j;
-      result.server_cycles[s.first + li] =
-          s.server_boots[li] + s.server_shutdowns[li];
-      const double frac =
-          wear.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
-      wear_sum += frac;
-      if (frac > result.wear_fraction_max) result.wear_fraction_max = frac;
+  for (const auto& s : shards) {
+    violations += s->violations;
+    response_hist.merge(s->response_hist);
+    if (sharded.profile != nullptr) {
+      sharded.profile->shard_events[s->index] = s->events_total();
     }
   }
+  fleet.for_each_server([&](const Shard& s, std::uint32_t li, std::uint32_t gi) {
+    const PerServerStats& ps = s.stats[li];
+    completed += ps.completed;
+    response_sum += ps.response_sum;
+    if (ps.response_max > response_max) response_max = ps.response_max;
+    jobs_integral += ps.jobs_integral;
+    serving_integral += ps.serving_integral;
+    available_integral += ps.available_integral;
+    const EnergyMeter& meter = s.servers[li].meter();
+    energy.busy_j += meter.joules_busy() - s.warm_energy[li].busy_j;
+    energy.idle_j += meter.joules_idle() - s.warm_energy[li].idle_j;
+    energy.transition_j += meter.joules_transition() - s.warm_energy[li].transition_j;
+    energy.off_j += meter.joules_off() - s.warm_energy[li].off_j;
+    result.server_cycles[gi] = s.server_boots[li] + s.server_shutdowns[li];
+    const double frac = wear.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+    wear_sum += frac;
+    if (frac > result.wear_fraction_max) result.wear_fraction_max = frac;
+  });
 
   const ControlLoop::Fleet::Totals totals = fleet.totals();
   result.completed_jobs = completed;

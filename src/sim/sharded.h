@@ -1,9 +1,14 @@
 // Sharded deterministic simulation core: conservative parallel DES
 // (DESIGN.md §11).
 //
-// The cluster is partitioned into K contiguous shards, each owning its own
-// EventQueue, Server vector, per-server RNG streams and per-server metric
-// accumulators, executed on a fixed thread pool.  Synchronization is
+// The cluster is partitioned into K interleaved shards — server gi belongs
+// to shard gi mod K — each owning its own EventQueue, Server vector,
+// per-server RNG streams, serving-set bitmap and per-server metric
+// accumulators, executed on a fixed thread pool.  Interleaving spreads the
+// serving prefix [0, target) evenly over the shards even when most of the
+// fleet is parked, and fleet-wide commands cost O(servers that change): an
+// unchanged speed is a no-op and a new target visits only the servers
+// between the old and the new one.  Synchronization is
 // conservative: the DCP structure gives a natural lookahead window — no
 // cross-shard interaction (provisioning commands, telemetry aggregation,
 // admission updates) happens between control-period barriers — so each
@@ -42,17 +47,22 @@
 
 namespace gc {
 
-// Wall-clock self-profile of one sharded run: per-shard busy time inside
-// the barrier-to-barrier advances versus the orchestrator's wall time
-// across those advances.  Filled only when ShardedOptions::profile points
-// here, and written *outside* SimResult on purpose — wall-clock readings
-// are machine noise, and SimResult (counters included) must stay a pure,
-// K-invariant function of the inputs.  bench/perf_smoke surfaces the
-// derived gauges (busy fraction, imbalance) in BENCH_core.json.
+// Self-profile of one sharded run: per-shard busy time inside the
+// barrier-to-barrier advances versus the orchestrator's wall time across
+// those advances, plus each shard's deterministic event count.  Filled
+// only when ShardedOptions::profile points here, and written *outside*
+// SimResult on purpose — wall-clock readings are machine noise, and the
+// event split depends on K, while SimResult (counters included) must stay
+// a pure, K-invariant function of the inputs.  bench/perf_smoke surfaces
+// the derived gauges (busy fraction, imbalance, event imbalance) in
+// BENCH_core.json.
 struct ShardProfile {
   // Seconds each shard spent inside Shard::advance_to, indexed by shard.
   // Resized to the effective shard count by the engine.
   std::vector<double> shard_busy_s;
+  // Events each shard processed (queue pops plus owned arrivals), indexed
+  // by shard: the work split, free of timing noise.
+  std::vector<std::uint64_t> shard_events;
   // Orchestrator wall seconds spent across all advance barriers (issue to
   // last-shard completion — includes the barrier wait on the slowest
   // shard) and the number of barriers executed.
@@ -85,6 +95,19 @@ struct ShardProfile {
     if (shard_busy_s.empty() || total <= 0.0) return 0.0;
     const double mean = total / static_cast<double>(shard_busy_s.size());
     return mean > 0.0 ? busy_max_s() / mean - 1.0 : 0.0;
+  }
+  // The same ratio over shard_events: max over mean, minus 1.  Identical
+  // on every machine, so it can gate the partition's balance in CI.
+  [[nodiscard]] double event_imbalance() const noexcept {
+    std::uint64_t total = 0, mx = 0;
+    for (const std::uint64_t n : shard_events) {
+      total += n;
+      mx = n > mx ? n : mx;
+    }
+    if (total == 0) return 0.0;
+    const double mean =
+        static_cast<double>(total) / static_cast<double>(shard_events.size());
+    return static_cast<double>(mx) / mean - 1.0;
   }
 };
 

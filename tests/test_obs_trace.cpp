@@ -1,10 +1,18 @@
 // TraceCollector: ring-buffer semantics and the Chrome trace_event JSON
-// export (the schema shape chrome://tracing / Perfetto requires).
+// export (the schema shape chrome://tracing / Perfetto requires), and the
+// benches' --trace-out artifact writer (bench/trace_out.h).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 
+#include "../bench/trace_out.h"
+#include "control/policies.h"
 #include "obs/trace.h"
+#include "workload/workload.h"
 
 namespace gc {
 namespace {
@@ -111,6 +119,47 @@ TEST(TraceHelpers, SinkReceivesWhenCompiledIn) {
   } else {
     EXPECT_EQ(trace.emitted(), 0u);
   }
+}
+
+// <prefix>.counters.json is the run's snapshot plus the trace sink's own
+// tallies; the run already registers obs.trace.dropped, and every key must
+// still appear exactly once.
+TEST(TraceOut, CountersJsonHoldsEachKeyOnce) {
+  const auto dir = std::filesystem::temp_directory_path() / "gc_trace_out_keys";
+  std::filesystem::create_directories(dir);
+  const std::string flag = "--trace-out=" + (dir / "run").string();
+  const char* argv[] = {"test", flag.c_str()};
+  gcbench::TraceOut out(CliArgs(2, argv));
+
+  ClusterConfig config;
+  config.max_servers = 8;
+  config.mu_max = 10.0;
+  config.t_ref_s = 0.5;
+  const Provisioner provisioner(config);
+  const auto controller = make_policy(PolicyKind::kCombinedDcp, &provisioner, {});
+  Workload workload = Workload::poisson_exponential(20.0, config.mu_max, 300.0, 3);
+  ClusterOptions cluster;
+  cluster.num_servers = config.max_servers;
+  cluster.initial_active = config.max_servers;
+  SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  out.attach(sim);
+  out.write(run_simulation(workload, cluster, *controller, sim));
+
+  std::ifstream in(dir / "run.counters.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const CountersSnapshot snap = CountersSnapshot::from_json(text.str());
+  std::set<std::string> names;
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_TRUE(names.insert(name).second) << "duplicate counter " << name;
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    EXPECT_TRUE(names.insert(name).second) << "duplicate gauge " << name;
+  }
+  EXPECT_EQ(names.count("obs.trace.dropped"), 1u);
+  EXPECT_EQ(names.count("obs.trace.records"), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

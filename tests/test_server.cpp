@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/wait_queue.h"
+
 namespace gc {
 namespace {
 
@@ -166,6 +168,69 @@ TEST_F(ServerTest, CompletionEtaRequiresBusy) {
   Server server(0, &pm_, 1.0, true, 0.0);
   EXPECT_DEATH((void)server.completion_eta(0.0), "no job");
   EXPECT_DEATH((void)server.complete_current(0.0), "no job");
+}
+
+// -- WaitQueue: the FIFO behind the in-flight job ------------------------------
+
+Job numbered(std::uint64_t id) {
+  Job job;
+  job.id = id;
+  job.size = job.remaining = 1.0;
+  return job;
+}
+
+TEST(WaitQueue, HoldsNoStorageWhileEmpty) {
+  WaitQueue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+  q.push_back(numbered(1));
+  EXPECT_EQ(q.capacity(), WaitQueue::kMinCapacity);
+  q.pop_front();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+}
+
+TEST(WaitQueue, KeepsFifoOrderAcrossWrapAndGrowth) {
+  WaitQueue q;
+  std::uint64_t next_in = 0, next_out = 0;
+  // Interleave pushes and pops so the head wraps before each growth.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 3 + 2 * round; ++i) q.push_back(numbered(next_in++));
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(q.front().id, next_out++);
+      q.pop_front();
+    }
+    for (std::size_t i = 0; i < q.size(); ++i) EXPECT_EQ(q[i].id, next_out + i);
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(q.front().id, next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(WaitQueue, StorageStaysBoundedByTheLiveLength) {
+  WaitQueue q;
+  for (std::uint64_t i = 0; i < 1000; ++i) q.push_back(numbered(i));
+  EXPECT_GE(q.capacity(), 1000u);
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(q.front().id, i);
+    q.pop_front();
+    EXPECT_LE(q.capacity(),
+              std::max<std::size_t>(WaitQueue::kMinCapacity, 4 * q.size()));
+  }
+  // Drained: the storage is given back.
+  EXPECT_EQ(q.capacity(), 0u);
+}
+
+TEST(WaitQueue, MoveTransfersTheJobsAndEmptiesTheSource) {
+  WaitQueue a;
+  for (std::uint64_t i = 0; i < 5; ++i) a.push_back(numbered(i));
+  WaitQueue b(std::move(a));
+  EXPECT_EQ(b.size(), 5u);
+  EXPECT_EQ(b.front().id, 0u);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): defined state
+  EXPECT_EQ(a.capacity(), 0u);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "obs/trace.h"
 #include "sim/sharded.h"
 #include "sim/simulation.h"
+#include "workload/rate_profile.h"
 #include "workload/trace.h"
 #include "workload/workload.h"
 
@@ -284,6 +286,58 @@ TEST(ShardedDeterminism, OutageRunIsShardCountInvariant) {
   }
 }
 
+// A parked fleet: M = 1001 servers (indivisible by every K below) start
+// active at low load, so the first long periods drain most of the fleet
+// at once and the diurnal climb boots part of it back, under DV/FS speed
+// changes and scripted crashes on servers that shard 0 does not own at
+// K > 1 (server 1, 5, 11 and 14 land on shards 1..6 across K = 2, 3, 8).
+// Boots outlast several long periods, so the target also drops below
+// servers still booting (24 of them), which must drain once they are up.
+ShardedRun make_parked_run() {
+  ShardedRun r;
+  r.config.max_servers = 1001;
+  r.config.transition.boot_delay_s = 110.0;
+  r.scenario = make_scenario(ScenarioKind::kDiurnal, r.config, /*level=*/0.3,
+                             /*seed=*/1234, /*day_s=*/240.0);
+  r.extra.faults.script = {{30.0, 1, 60.0},
+                           {50.0, 5, 90.0},
+                           {70.0, 11, std::numeric_limits<double>::infinity()},
+                           {120.0, 14, 40.0}};
+  r.extra.faults.seed = 99;
+  return r;
+}
+
+TEST(ShardedDeterminism, ParkedFleetRunIsShardCountInvariant) {
+  const ShardedRun spec = make_parked_run();
+  std::uint64_t base_sum = 0;
+  std::string base_audit;
+  for (const unsigned k : {1u, 2u, 3u, 8u}) {
+    DecisionAuditLog audit;
+    const SimResult r = spec.run(k, &audit, nullptr);
+    if (k == 1) {
+      // The run really parks and re-boots servers, changes speed and
+      // crashes the scripted servers.
+      EXPECT_GT(r.shutdowns, 500u);
+      EXPECT_GT(r.boots, 0u);
+      EXPECT_EQ(r.failures, 4u);
+      std::set<double> speeds;
+      for (const AuditRecord& rec : audit.records()) {
+        if (rec.speed_set) speeds.insert(rec.speed);
+      }
+      EXPECT_GT(speeds.size(), 1u);
+      base_sum = checksum(r);
+      base_audit = audit.to_jsonl();
+      // Pinned on the contiguous-shard engine that preceded the strided
+      // one: the partition moves no bit.
+      EXPECT_EQ(base_sum, 4479251512158990621ULL);
+      EXPECT_EQ(fnv1a(base_audit), 17691278512074576111ULL);
+      continue;
+    }
+    EXPECT_EQ(checksum(r), base_sum) << "checksum diverged at K=" << k;
+    EXPECT_EQ(audit.to_jsonl(), base_audit) << "audit diverged at K=" << k;
+  }
+}
+
 // The orchestrator emits the control loop's trace records (period spans,
 // solver instants, counter tracks), and the Chrome trace is byte-identical
 // across K.
@@ -390,6 +444,48 @@ TEST(ShardedDeterminism, ArrivalAccountingCloses) {
   EXPECT_EQ(r.counters.counter_or("sim.events.arrival", 0), trace.size());
 }
 
+// A run that ends before the warmup does has no measured interval: both
+// engines report an empty result, not the warmup's energy, boots and
+// infeasible ticks.
+TEST(ShardedDeterminism, RunEndingInWarmupReportsEmptyIntervalInBothEngines) {
+  ClusterConfig config;
+  config.max_servers = 8;
+  config.mu_max = 10.0;
+  config.t_ref_s = 0.5;
+  const Provisioner provisioner(config);
+  ClusterOptions cluster;
+  cluster.num_servers = config.max_servers;
+  cluster.initial_active = config.max_servers;
+  cluster.dispatch_seed = 11;
+  SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  sim.warmup_s = 5000.0;
+  const double horizon_s = 600.0;
+
+  const auto seq_controller = make_policy(PolicyKind::kCombinedDcp, &provisioner, {});
+  Workload workload =
+      Workload::poisson_exponential(20.0, config.mu_max, horizon_s, /*seed=*/3);
+  const SimResult seq = run_simulation(workload, cluster, *seq_controller, sim);
+
+  const auto sharded_controller =
+      make_policy(PolicyKind::kCombinedDcp, &provisioner, {});
+  const Trace trace = Trace::from_profile(ConstantRate(20.0), horizon_s, /*seed=*/3);
+  ShardedOptions sharded;
+  sharded.num_shards = 2;
+  const SimResult shd =
+      run_sharded_simulation(trace, Distribution::exponential(config.mu_max), 3,
+                             cluster, *sharded_controller, sim, sharded);
+
+  for (const SimResult* r : {&seq, &shd}) {
+    const char* engine = r == &seq ? "sequential" : "sharded";
+    EXPECT_EQ(r->sim_time_s, 0.0) << engine;
+    EXPECT_EQ(r->energy.total_j(), 0.0) << engine;
+    EXPECT_EQ(r->boots, 0u) << engine;
+    EXPECT_EQ(r->infeasible_ticks, 0u) << engine;
+    EXPECT_EQ(r->completed_jobs, 0u) << engine;
+  }
+}
+
 // -- sequential engine stays untouched ---------------------------------------
 
 // The sequential lossy-channel golden configuration from
@@ -438,7 +534,8 @@ SimResult run_sequential_lossy(DecisionAuditLog* audit, TimeSeriesRecorder* ts) 
 // tests/test_recovery.cpp's configuration: two scripted outages long
 // enough to trip the watchdog into safe mode, warm restart at each
 // recovery, plus a timeline.
-SimResult run_sequential_outage(DecisionAuditLog* audit, TimeSeriesRecorder* ts) {
+SimResult run_sequential_outage(DecisionAuditLog* audit, TimeSeriesRecorder* ts,
+                                TraceCollector* trace = nullptr) {
   ClusterConfig config;
   config.max_servers = 8;
   config.mu_max = 10.0;
@@ -461,6 +558,7 @@ SimResult run_sequential_outage(DecisionAuditLog* audit, TimeSeriesRecorder* ts)
   sim.controller_faults.recovery = ControllerRecoveryMode::kWarmRestart;
   sim.audit = audit;
   sim.timeseries = ts;
+  sim.trace = trace;
   return run_simulation(workload, cluster, *controller, sim);
 }
 
@@ -512,6 +610,20 @@ TEST(ShardedDeterminism, DegradedRunBytesArePinnedAtK1) {
   EXPECT_EQ(a.sum, 12698049592747017007ULL);
   EXPECT_EQ(fnv1a(a.audit_jsonl), 5939445336178309742ULL);
   EXPECT_EQ(fnv1a(a.ts_csv), 4693085445886695564ULL);
+}
+
+// -- observability counters ------------------------------------------------
+
+// obs.trace.emitted counts every record the sink took, including the ones
+// closing still-open command lifecycles at the end of the run.
+TEST(ShardedDeterminism, TraceEmittedCounterMatchesTheSinkInBothEngines) {
+  TraceCollector seq_trace;
+  const SimResult seq = run_sequential_outage(nullptr, nullptr, &seq_trace);
+  EXPECT_EQ(seq.counters.counter_or("obs.trace.emitted", ~0ULL), seq_trace.emitted());
+
+  TraceCollector shd_trace;
+  const SimResult shd = make_degraded_run().run(2, nullptr, nullptr, &shd_trace);
+  EXPECT_EQ(shd.counters.counter_or("obs.trace.emitted", ~0ULL), shd_trace.emitted());
 }
 
 }  // namespace
