@@ -125,6 +125,7 @@ TEST(TraceHelpers, SinkReceivesWhenCompiledIn) {
 // tallies; the run already registers obs.trace.dropped, and every key must
 // still appear exactly once.
 TEST(TraceOut, CountersJsonHoldsEachKeyOnce) {
+  if constexpr (!kTracingCompiledIn) GTEST_SKIP() << "built with GC_TRACING=OFF";
   const auto dir = std::filesystem::temp_directory_path() / "gc_trace_out_keys";
   std::filesystem::create_directories(dir);
   const std::string flag = "--trace-out=" + (dir / "run").string();

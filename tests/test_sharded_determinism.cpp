@@ -617,6 +617,7 @@ TEST(ShardedDeterminism, DegradedRunBytesArePinnedAtK1) {
 // obs.trace.emitted counts every record the sink took, including the ones
 // closing still-open command lifecycles at the end of the run.
 TEST(ShardedDeterminism, TraceEmittedCounterMatchesTheSinkInBothEngines) {
+  if constexpr (!kTracingCompiledIn) GTEST_SKIP() << "built with GC_TRACING=OFF";
   TraceCollector seq_trace;
   const SimResult seq = run_sequential_outage(nullptr, nullptr, &seq_trace);
   EXPECT_EQ(seq.counters.counter_or("obs.trace.emitted", ~0ULL), seq_trace.emitted());
