@@ -86,9 +86,11 @@ struct GoldenRun {
   ClusterConfig config = bench_cluster_config();
   PolicyOptions popts;
   Scenario scenario;
+  double warmup_s = 0.0;
 
   GoldenRun() {
     popts.dcp = bench_dcp_params();
+    warmup_s = popts.dcp.long_period_s;
     scenario = make_scenario(ScenarioKind::kDiurnal, config, /*level=*/0.7,
                              /*seed=*/1234, /*day_s=*/2400.0);
   }
@@ -105,7 +107,7 @@ struct GoldenRun {
     cluster.dispatch_seed = 4242;
     SimulationOptions sim = extra;
     sim.t_ref_s = config.t_ref_s;
-    sim.warmup_s = popts.dcp.long_period_s;
+    sim.warmup_s = warmup_s;
     sim.record_interval_s = 120.0;
     return run_simulation(workload, cluster, *controller, sim);
   }
@@ -138,6 +140,24 @@ TEST(DeterminismGolden, ScriptedFaultScenarioWithAdmission) {
   sim.admission.mu_max = golden.config.mu_max;
   const SimResult result = golden.run(PolicyKind::kCombinedDcp, sim);
   EXPECT_EQ(checksum(result), 17454101182521964540ULL);
+}
+
+// The goldens above measure past a warmup; this one measures from t = 0,
+// so its response statistics cover every completed job of a run with
+// background crashes and boot hangs.
+TEST(DeterminismGolden, FaultedRunWithoutWarmup) {
+  GoldenRun golden;
+  golden.warmup_s = 0.0;
+  SimulationOptions sim;
+  sim.faults.mtbf_s = 4000.0;
+  sim.faults.mttr_s = 300.0;
+  sim.faults.boot_hang_prob = 0.1;
+  sim.faults.seed = 77;
+  const SimResult result = golden.run(PolicyKind::kCombinedDcp, sim);
+  EXPECT_GT(result.failures, 0u);
+  EXPECT_EQ(result.counters.counter_or("sim.jobs.completed", 0), result.completed_jobs);
+  EXPECT_EQ(result.response_hist.count(), result.completed_jobs);
+  EXPECT_EQ(checksum(result), 17686791216192271996ULL);
 }
 
 // The checksum itself must be stable across platforms/compilers for the
