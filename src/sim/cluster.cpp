@@ -4,16 +4,14 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sim/fault_injector.h"
 #include "util/assert.h"
 
 namespace gc {
 
 Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
-    : queue_(queue), transition_(options.transition),
+    : ServerPool(queue, options.transition, options.initial_speed),
       dispatcher_(options.dispatch, Rng(options.dispatch_seed, /*stream=*/3)),
-      group_rng_(options.dispatch_seed, /*stream=*/5), speed_(options.initial_speed) {
-  GC_CHECK(queue != nullptr, "Cluster: null event queue");
+      group_rng_(options.dispatch_seed, /*stream=*/5) {
 
   // Normalize to group form: the homogeneous fields describe one group.
   std::vector<ServerGroupSpec> groups = options.groups;
@@ -56,50 +54,20 @@ Cluster::Cluster(const ClusterOptions& options, EventQueue* queue)
 
   power_models_.reserve(groups.size());
   group_sizes_.reserve(groups.size());
-  group_speeds_.reserve(groups.size());
   server_group_.reserve(total);
-  servers_.reserve(total);
-  group_booting_.assign(groups.size(), 0);
+  reserve(total);
   std::uint32_t index = 0;
   std::uint32_t group_id = 0;
   for (const ServerGroupSpec& g : groups) {
     power_models_.emplace_back(g.power);  // reserved: addresses are stable
     group_sizes_.push_back(g.count);
-    group_speeds_.push_back(g.initial_speed);
     for (std::uint32_t i = 0; i < g.count; ++i, ++index) {
       server_group_.push_back(group_id);
-      servers_.emplace_back(index, &power_models_.back(), g.initial_speed,
-                            /*initially_on=*/i < g.initial_active,
-                            /*start_time=*/0.0, g.rate_scale);
+      add(index, &power_models_.back(), g.initial_speed,
+                /*initially_on=*/i < g.initial_active, g.rate_scale);
     }
     ++group_id;
   }
-
-  server_boots_.assign(total, 0);
-  server_shutdowns_.assign(total, 0);
-
-  // Seed the incremental accounting from the initial states (ON or OFF).
-  serving_index_.reserve(total);
-  for (const Server& s : servers_) {
-    if (s.serving()) serving_index_.push_back(s.index());
-    if (s.state() != PowerState::kOff) ++powered_total_;
-  }
-}
-
-void Cluster::serving_insert(std::uint32_t index) {
-  const auto it =
-      std::lower_bound(serving_index_.begin(), serving_index_.end(), index);
-  GC_DCHECK(it == serving_index_.end() || *it != index,
-            "serving_insert: index already present");
-  serving_index_.insert(it, index);
-}
-
-void Cluster::serving_erase(std::uint32_t index) {
-  const auto it =
-      std::lower_bound(serving_index_.begin(), serving_index_.end(), index);
-  GC_CHECK(it != serving_index_.end() && *it == index,
-           "serving_erase: index not in serving set");
-  serving_index_.erase(it);
 }
 
 std::pair<std::uint32_t, std::uint32_t> Cluster::group_range(std::size_t group) const {
@@ -119,69 +87,53 @@ std::uint32_t Cluster::group_of(std::uint32_t server) const {
   return server_group_[server];
 }
 
+std::span<const std::uint32_t> Cluster::serving_in(std::uint32_t begin,
+                                                  std::uint32_t end) const {
+  // The serving list is sorted and group ranges are contiguous, so the
+  // range's serving set is one slice of it.
+  const std::span<const std::uint32_t> list = serving();
+  const auto lo = std::lower_bound(list.begin(), list.end(), begin);
+  const auto hi = std::lower_bound(lo, list.end(), end);
+  return {lo, hi};
+}
+
 unsigned Cluster::group_serving_count(std::size_t group) const {
   const auto [begin, end] = group_range(group);
-  // The serving index is sorted and group ranges are contiguous, so the
-  // group's serving set is one subrange of it.
-  const auto lo = std::lower_bound(serving_index_.begin(), serving_index_.end(), begin);
-  const auto hi = std::lower_bound(lo, serving_index_.end(), end);
-  return static_cast<unsigned>(hi - lo);
+  return static_cast<unsigned>(serving_in(begin, end).size());
 }
 
 void Cluster::set_group_speed(double now, std::size_t group, double speed) {
-  GC_CHECK(speed > 0.0 && speed <= 1.0, "set_group_speed: speed out of (0,1]");
   const auto [begin, end] = group_range(group);
-  group_speeds_[group] = speed;
-  for (std::uint32_t i = begin; i < end; ++i) {
-    const auto eta = servers_[i].set_speed(now, speed);
-    if (eta) reschedule_departure(now, servers_[i], *eta);
-  }
+  set_speed(now, begin, end, speed);
 }
 
 bool Cluster::route_job_to_group(double now, std::size_t group, const Job& job) {
   const auto [begin, end] = group_range(group);
   // Random pick among the group's serving servers (matches the per-class
-  // random-split M/M/1 model the hetero solver assumes).  The group's
-  // serving set is a contiguous subrange of the sorted serving index, so
-  // the k-th serving server is an O(log S) lookup instead of a range scan.
-  const auto lo = std::lower_bound(serving_index_.begin(), serving_index_.end(), begin);
-  const auto hi = std::lower_bound(lo, serving_index_.end(), end);
-  const auto serving_count = static_cast<std::uint64_t>(hi - lo);
-  if (serving_count == 0) {
+  // random-split M/M/1 model the hetero solver assumes): the k-th entry of
+  // the group's serving slice.
+  const std::span<const std::uint32_t> serving = serving_in(begin, end);
+  if (serving.empty()) {
     ++jobs_dropped_;
     return false;
   }
-  const std::uint64_t pick = group_rng_.uniform_below(serving_count);
-  Server& chosen = servers_[*(lo + static_cast<std::ptrdiff_t>(pick))];
-  const auto eta = chosen.enqueue(now, job);
-  if (eta) reschedule_departure(now, chosen, *eta);
-  ++jobs_in_system_;
+  const std::uint64_t pick = group_rng_.uniform_below(serving.size());
+  enqueue(now, serving[pick], job);
   return true;
-}
-
-const Server& Cluster::server(std::uint32_t index) const {
-  GC_CHECK(index < servers_.size(), "Cluster: server index out of range");
-  return servers_[index];
-}
-
-void Cluster::reschedule_departure(double now, Server& server, double eta) {
-  if (server.pending_departure != kInvalidEventId) {
-    queue_->cancel(server.pending_departure);
-  }
-  server.pending_departure = queue_->schedule(eta, EventType::kDeparture, server.index());
-  (void)now;
 }
 
 void Cluster::set_group_active_target(double now, std::size_t group, unsigned target) {
   const auto [begin, end] = group_range(group);
-  const unsigned committed = group_serving_count(group) + group_booting_[group];
+  unsigned committed = group_serving_count(group);
+  for (std::uint32_t i = begin; i < end; ++i) {
+    committed += server(i).state() == PowerState::kBooting ? 1 : 0;
+  }
   reconcile_range(now, begin, end, committed, std::min(target, group_sizes_[group]));
 }
 
 void Cluster::set_active_target(double now, unsigned target) {
   target = std::clamp(target, 1u, num_servers());
-  reconcile_range(now, 0, static_cast<std::uint32_t>(servers_.size()),
-                  committed_count(), target);
+  reconcile_range(now, 0, num_servers(), committed_count(), target);
 }
 
 void Cluster::reconcile_range(double now, std::uint32_t begin, std::uint32_t end,
@@ -189,32 +141,16 @@ void Cluster::reconcile_range(double now, std::uint32_t begin, std::uint32_t end
   if (target > committed) {
     // 1) Revive draining servers — they are still hot.
     for (std::uint32_t i = begin; i < end && committed < target; ++i) {
-      Server& s = servers_[i];
+      const Server& s = server(i);
       if (s.state() == PowerState::kOn && s.draining()) {
-        apply_transition(s, [&] { s.set_draining(now, false); });
+        revive(now, i);
         ++committed;
       }
     }
     // 2) Boot OFF servers.
     for (std::uint32_t i = begin; i < end && committed < target; ++i) {
-      Server& s = servers_[i];
-      if (s.state() == PowerState::kOff) {
-        apply_transition(s, [&] { s.start_boot(now); });
-        trace_async_begin(trace_, now, "lifecycle", "boot", s.index());
-        // With fault injection, this individual boot may hang: instead of a
-        // completion it gets a watchdog timeout that fails the server.
-        const std::optional<double> hang =
-            faults_ ? faults_->sample_boot_hang(transition_.boot_delay_s)
-                    : std::nullopt;
-        if (hang) {
-          s.pending_transition =
-              queue_->schedule(now + *hang, EventType::kBootTimeout, s.index());
-        } else {
-          s.pending_transition = queue_->schedule(
-              now + transition_.boot_delay_s, EventType::kBootComplete, s.index());
-        }
-        ++boots_started_;
-        ++server_boots_[i];
+      if (server(i).state() == PowerState::kOff) {
+        boot(now, i);
         ++committed;
       }
     }
@@ -223,198 +159,60 @@ void Cluster::reconcile_range(double now, std::uint32_t begin, std::uint32_t end
     return;
   }
 
-  if (target < committed) {
-    unsigned excess = committed - target;
-    // Drain serving servers with the least outstanding work first, but
-    // never below one serving server cluster-wide (a reduction to zero in
-    // one *group* of a hetero cluster is allowed when target == 0 there,
-    // as long as another group still serves).  Candidates come off the
-    // serving index: same ascending order a full range scan would visit,
-    // without touching non-serving servers.
-    while (excess > 0) {
-      // Never drain the last serving server: booting capacity cannot take
-      // traffic yet, and a cluster with zero serving servers drops jobs.
-      if (serving_count() <= 1) break;
-      const auto lo =
-          std::lower_bound(serving_index_.begin(), serving_index_.end(), begin);
-      const auto hi = std::lower_bound(lo, serving_index_.end(), end);
-      Server* victim = nullptr;
-      double least_work = std::numeric_limits<double>::infinity();
-      for (auto it = lo; it != hi; ++it) {
-        Server& s = servers_[*it];
-        const double work = s.outstanding_work(now);
-        if (work < least_work) {
-          least_work = work;
-          victim = &s;
-        }
+  // Drain serving servers with the least outstanding work first, but never
+  // below one serving server cluster-wide (a reduction to zero in one
+  // *group* of a hetero cluster is allowed when target == 0 there, as long
+  // as another group still serves).  Candidates come off the serving list:
+  // the same ascending order a full range scan would visit.
+  for (unsigned excess = committed > target ? committed - target : 0; excess > 0;
+       --excess) {
+    // Never drain the last serving server: booting capacity cannot take
+    // traffic yet, and a cluster with zero serving servers drops jobs.
+    if (serving_count() <= 1) break;
+    long victim = -1;
+    double least_work = std::numeric_limits<double>::infinity();
+    for (const std::uint32_t i : serving_in(begin, end)) {
+      const double work = server(i).outstanding_work(now);
+      if (work < least_work) {
+        least_work = work;
+        victim = i;
       }
-      if (victim == nullptr) break;  // only booting servers left; let them land
-      apply_transition(*victim, [&] { victim->set_draining(now, true); });
-      maybe_begin_shutdown(now, *victim);
-      --excess;
     }
-  }
-}
-
-void Cluster::maybe_begin_shutdown(double now, Server& server) {
-  if (server.state() == PowerState::kOn && server.draining() && !server.busy() &&
-      server.queue_length() == 0) {
-    apply_transition(server, [&] { server.begin_shutdown(now); });
-    trace_async_begin(trace_, now, "lifecycle", "shutdown", server.index());
-    server.pending_transition = queue_->schedule(
-        now + transition_.shutdown_delay_s, EventType::kShutdownComplete,
-        server.index());
-    ++shutdowns_started_;
-    ++server_shutdowns_[server.index()];
+    if (victim < 0) break;  // only booting servers left; let them land
+    drain(now, static_cast<std::uint32_t>(victim));
   }
 }
 
 void Cluster::set_all_speeds(double now, double speed) {
   GC_CHECK(speed > 0.0 && speed <= 1.0, "set_all_speeds: speed out of (0,1]");
-  speed_ = speed;
-  for (double& s : group_speeds_) s = speed;
-  for (Server& s : servers_) {
-    const auto eta = s.set_speed(now, speed);
-    if (eta) reschedule_departure(now, s, *eta);
-  }
+  set_speed(now, speed);
+}
+
+bool Cluster::place(double now, const Job& job) {
+  const long target = dispatcher_.pick(now, servers(), serving());
+  if (target >= 0) enqueue(now, static_cast<std::uint32_t>(target), job);
+  return target >= 0;
 }
 
 bool Cluster::route_job(double now, const Job& job) {
-  const long target = dispatcher_.pick(now, servers_, serving_index_);
-  if (target < 0) {
-    ++jobs_dropped_;
-    return false;
-  }
-  Server& s = servers_[static_cast<std::size_t>(target)];
-  const auto eta = s.enqueue(now, job);
-  if (eta) reschedule_departure(now, s, *eta);
-  ++jobs_in_system_;
-  return true;
+  const bool placed = place(now, job);
+  if (!placed) ++jobs_dropped_;
+  return placed;
 }
 
-Job Cluster::handle_departure(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "departure for unknown server");
-  Server& s = servers_[server];
-  s.pending_departure = kInvalidEventId;
-  const Server::Completion completion = s.complete_current(now);
-  if (completion.next_eta) {
-    reschedule_departure(now, s, *completion.next_eta);
-  } else {
-    maybe_begin_shutdown(now, s);
-  }
-  GC_CHECK(jobs_in_system_ > 0, "departure with no jobs in system");
-  --jobs_in_system_;
-  return completion.finished;
-}
-
-void Cluster::handle_boot_complete(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "boot completion for unknown server");
-  Server& s = servers_[server];
-  s.pending_transition = kInvalidEventId;
-  apply_transition(s, [&] { s.finish_boot(now); });
-  trace_async_end(trace_, now, "lifecycle", "boot", s.index());
-  // Booted servers adopt their group's current speed.
-  const auto eta = s.set_speed(now, group_speeds_[server_group_[server]]);
-  GC_CHECK(!eta.has_value(), "freshly booted server cannot have work");
-}
-
-void Cluster::handle_shutdown_complete(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "shutdown completion for unknown server");
-  Server& s = servers_[server];
-  s.pending_transition = kInvalidEventId;
-  apply_transition(s, [&] { s.finish_shutdown(now); });
-  trace_async_end(trace_, now, "lifecycle", "shutdown", s.index());
-}
-
-bool Cluster::fail_server(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "fail_server: unknown server");
-  Server& s = servers_[server];
-  if (s.state() == PowerState::kOff || s.failed()) return false;
-  // A crashed server's scheduled future is void: its in-flight departure
-  // and its boot/shutdown completion must not fire.
-  if (s.pending_departure != kInvalidEventId) {
-    queue_->cancel(s.pending_departure);
-    s.pending_departure = kInvalidEventId;
-  }
-  if (s.pending_transition != kInvalidEventId) {
-    queue_->cancel(s.pending_transition);
-    s.pending_transition = kInvalidEventId;
-  }
-  // Close the interrupted transition's lane before opening the failed one.
-  if (s.state() == PowerState::kBooting) {
-    trace_async_end(trace_, now, "lifecycle", "boot", s.index());
-  } else if (s.state() == PowerState::kShuttingDown) {
-    trace_async_end(trace_, now, "lifecycle", "shutdown", s.index());
-  }
-  std::vector<Job> orphans;
-  apply_transition(s, [&] { orphans = s.fail(now); });
-  ++failures_;
-  trace_async_begin(trace_, now, "lifecycle", "failed", s.index());
-  // Fail the orphans over to surviving serving servers; with none left the
-  // jobs are lost (distinct from admission-time drops).
-  for (Job& job : orphans) {
-    // A job can be caught exactly at its completion instant (crash and
-    // departure tie on time); give it a vanishing sliver of work so the
-    // enqueue invariant (remaining > 0) holds and it finishes immediately
-    // on the failover server.
-    job.remaining = std::max(job.remaining, 1e-12);
-    const long target = dispatcher_.pick(now, servers_, serving_index_);
-    if (target < 0) {
-      ++jobs_lost_;
-      GC_CHECK(jobs_in_system_ > 0, "fail_server: losing an untracked job");
-      --jobs_in_system_;
-      continue;
+bool Cluster::handle_fault_event(double now, EventType type, std::uint32_t server) {
+  return ServerPool::handle_fault_event(now, type, server, [&](std::vector<Job>& orphans) {
+    // Fail the orphans over to surviving serving servers; with none left
+    // the jobs are lost (distinct from admission-time drops).
+    for (Job& job : orphans) {
+      // A job can be caught exactly at its completion instant (crash and
+      // departure tie on time); give it a vanishing sliver of work so the
+      // enqueue invariant (remaining > 0) holds and it finishes at once on
+      // the failover server.
+      job.remaining = std::max(job.remaining, 1e-12);
+      place(now, job) ? ++jobs_redispatched_ : ++jobs_lost_;
     }
-    Server& survivor = servers_[static_cast<std::size_t>(target)];
-    const auto eta = survivor.enqueue(now, job);
-    if (eta) reschedule_departure(now, survivor, *eta);
-    ++jobs_redispatched_;  // still counted in jobs_in_system_
-  }
-  return true;
-}
-
-void Cluster::timeout_boot(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "timeout_boot: unknown server");
-  Server& s = servers_[server];
-  GC_CHECK(s.state() == PowerState::kBooting, "timeout_boot: server not BOOTING");
-  // The timeout event that brought us here was the pending transition.
-  s.pending_transition = kInvalidEventId;
-  trace_async_end(trace_, now, "lifecycle", "boot", s.index());
-  std::vector<Job> orphans;
-  apply_transition(s, [&] { orphans = s.fail(now); });
-  GC_CHECK(orphans.empty(), "timeout_boot: booting server held jobs");
-  ++failures_;
-  ++boot_timeouts_;
-  trace_async_begin(trace_, now, "lifecycle", "failed", s.index());
-}
-
-void Cluster::repair_server(double now, std::uint32_t server) {
-  GC_CHECK(server < servers_.size(), "repair_server: unknown server");
-  Server& s = servers_[server];
-  apply_transition(s, [&] { s.finish_repair(now); });
-  ++repairs_;
-  trace_async_end(trace_, now, "lifecycle", "failed", s.index());
-}
-
-void Cluster::flush_energy(double now) {
-  for (Server& s : servers_) s.flush_energy(now);
-}
-
-EnergyBreakdown Cluster::energy() const {
-  EnergyBreakdown sum;
-  for (const Server& s : servers_) {
-    sum.busy_j += s.meter().joules_busy();
-    sum.idle_j += s.meter().joules_idle();
-    sum.transition_j += s.meter().joules_transition();
-    sum.off_j += s.meter().joules_off();
-  }
-  return sum;
-}
-
-double Cluster::instantaneous_power() const {
-  double watts = 0.0;
-  for (const Server& s : servers_) watts += s.instantaneous_power();
-  return watts;
+  });
 }
 
 }  // namespace gc

@@ -1,9 +1,12 @@
-// The simulated cluster: N servers, a dispatcher, and the VOVF transition
-// choreography.
+// The simulated cluster: N servers, a dispatcher, and the VOVF control
+// policy of the sequential engine.
 //
-// The cluster owns all event *scheduling* for its servers (departures,
-// boot/shutdown completions) on an EventQueue provided by the simulation
-// loop, which in turn routes those events back into the cluster's handlers.
+// The server lifecycle — fleet counters, serving set, boot/drain/shutdown,
+// crash/timeout/repair and event scheduling for all of it — lives in the
+// ServerPool (sim/server_pool.h) shared with the sharded engine.  What the
+// cluster adds is its side of the model differences (DESIGN.md §11.1):
+// JSQ/RR/random/least-work dispatch, the reconcile policy, re-dispatch of
+// a crash's orphaned jobs, and heterogeneous server groups.
 //
 // Control plane semantics (see DESIGN.md §1.2):
 //   * set_active_target(m): reconciles towards m servers that are either
@@ -12,7 +15,7 @@
 //     service).  To shrink, serving servers with the least outstanding
 //     work are put into draining; a draining server shuts down as soon as
 //     its queue empties (possibly immediately).
-//   * set_all_speeds(s): applied to every powered server; in-flight work is
+//   * set_all_speeds(s): applied to every server; in-flight work is
 //     re-timed (departure events rescheduled).
 #pragma once
 
@@ -28,6 +31,7 @@
 #include "sim/event_queue.h"
 #include "sim/job.h"
 #include "sim/server.h"
+#include "sim/server_pool.h"
 
 namespace gc {
 
@@ -56,17 +60,9 @@ struct ClusterOptions {
   std::vector<ServerGroupSpec> groups;
 };
 
-struct EnergyBreakdown {
-  double busy_j = 0.0;
-  double idle_j = 0.0;
-  double transition_j = 0.0;
-  double off_j = 0.0;
-  [[nodiscard]] double total_j() const noexcept {
-    return busy_j + idle_j + transition_j + off_j;
-  }
-};
-
-class Cluster {
+// The pool is a private base: its accounting and tallies are re-exported
+// below; its lifecycle operations are driven only by the cluster's policy.
+class Cluster : private ServerPool {
  public:
   // `queue` must outlive the cluster.
   Cluster(const ClusterOptions& options, EventQueue* queue);
@@ -88,180 +84,74 @@ class Cluster {
   // serving server (the job is dropped).
   bool route_job_to_group(double now, std::size_t group, const Job& job);
 
-  // Fleet counts are maintained incrementally on every lifecycle
-  // transition (serve/boot/fail/shutdown), so all of these are O(1) —
-  // they are read on every event by the simulation loop.
-  [[nodiscard]] unsigned serving_count() const noexcept {
-    return static_cast<unsigned>(serving_index_.size());
-  }
-  // Serving + booting: the capacity already committed.
-  [[nodiscard]] unsigned committed_count() const noexcept {
-    return serving_count() + booting_total_;
-  }
-  // Anything not OFF (including FAILED: a crashed machine is not off).
-  [[nodiscard]] unsigned powered_count() const noexcept { return powered_total_; }
-  // Anything not FAILED: the fleet a failure-aware controller can draw on.
-  [[nodiscard]] unsigned available_count() const noexcept {
-    return num_servers() - failed_total_;
-  }
-  [[nodiscard]] unsigned failed_count() const noexcept { return failed_total_; }
-  // The serving-set index: indices of serving() servers, ascending.  The
-  // dispatcher picks from this instead of scanning all M servers.
-  [[nodiscard]] std::span<const std::uint32_t> serving_index() const noexcept {
-    return serving_index_;
-  }
-  [[nodiscard]] unsigned num_servers() const noexcept {
-    return static_cast<unsigned>(servers_.size());
-  }
-  [[nodiscard]] double current_speed() const noexcept { return speed_; }
+  // Fleet counts (O(1), read on every event by the simulation loop), the
+  // lifecycle tallies and energy accounting — see sim/server_pool.h.
+  using ServerPool::available_count, ServerPool::committed_count,
+      ServerPool::failed_count, ServerPool::powered_count, ServerPool::serving_count;
+  using ServerPool::current_speed, ServerPool::num_servers, ServerPool::server;
+  using ServerPool::boot_timeouts, ServerPool::boots_started, ServerPool::failures,
+      ServerPool::repairs, ServerPool::shutdowns_started;
+  using ServerPool::jobs_in_system, ServerPool::server_boots,
+      ServerPool::server_shutdowns;
+  using ServerPool::energy, ServerPool::flush_energy, ServerPool::instantaneous_power;
 
   // -- data plane (called by the simulation loop) ---------------------------
   // Routes an arrival; returns false if dropped (no serving server — only
   // possible if the controller drove the cluster to zero, which
   // set_active_target prevents by keeping >= 1 serving/booting).
   bool route_job(double now, const Job& job);
-
-  // Departure event for `server`: returns the finished job.
-  [[nodiscard]] Job handle_departure(double now, std::uint32_t server);
-  void handle_boot_complete(double now, std::uint32_t server);
-  void handle_shutdown_complete(double now, std::uint32_t server);
+  // Departure / boot / shutdown completion events for a server.
+  using ServerPool::handle_boot_complete, ServerPool::handle_departure,
+      ServerPool::handle_shutdown_complete;
 
   // -- fault plane (driven by sim/fault_injector.h) -------------------------
   // When set (before any boot command), every boot consults the injector
-  // for a sampled hang: hung boots get a kBootTimeout event instead of
-  // kBootComplete.  `injector` must outlive the cluster.
-  void set_fault_injector(FaultInjector* injector) noexcept { faults_ = injector; }
+  // for a sampled hang, and handle_fault_event routes fault events through
+  // it.  `injector` must outlive the cluster.
+  using ServerPool::set_fault_injector;
+  // kServerFail / kServerRepair / kBootTimeout for `server`.  A crash
+  // re-dispatches the orphaned jobs to surviving serving servers (jobs
+  // that cannot be placed are lost and counted).  Returns true if a
+  // kServerFail crashed a powered server.
+  bool handle_fault_event(double now, EventType type, std::uint32_t server);
 
-  // -- observability --------------------------------------------------------
   // Optional trace sink (obs/trace.h); per-server boot/shutdown/failed
   // lifecycle phases are recorded as async spans keyed by server index.
   // Null (the default) disables recording.  `trace` must outlive the
   // cluster.  Strictly observational.
-  void set_trace(TraceCollector* trace) noexcept { trace_ = trace; }
+  using ServerPool::set_trace;
 
-  // Fail-stop crash of a powered server.  Cancels its pending events,
-  // re-dispatches the orphaned jobs to surviving serving servers (jobs
-  // that cannot be placed are lost and counted).  Returns false — a no-op —
-  // if the server is OFF or already FAILED.
-  bool fail_server(double now, std::uint32_t server);
-  // A hung boot hit its watchdog timeout: the BOOTING server fails.
-  void timeout_boot(double now, std::uint32_t server);
-  // FAILED -> OFF; a later reconcile may boot it again.
-  void repair_server(double now, std::uint32_t server);
-
-  // -- accounting -----------------------------------------------------------
-  void flush_energy(double now);
-  [[nodiscard]] EnergyBreakdown energy() const;
-  [[nodiscard]] double instantaneous_power() const;
-  [[nodiscard]] std::size_t jobs_in_system() const noexcept { return jobs_in_system_; }
   [[nodiscard]] std::uint64_t jobs_dropped() const noexcept { return jobs_dropped_; }
-  [[nodiscard]] std::uint64_t boots_started() const noexcept { return boots_started_; }
-  [[nodiscard]] std::uint64_t shutdowns_started() const noexcept {
-    return shutdowns_started_;
-  }
-  // Per-server transition counts (index = server index), the raw signal
-  // behind the wear-out model (core/reliability.h): each boot or shutdown
-  // is half an on/off cycle charged against that server's lifetime budget.
-  [[nodiscard]] std::span<const std::uint32_t> server_boots() const noexcept {
-    return server_boots_;
-  }
-  [[nodiscard]] std::span<const std::uint32_t> server_shutdowns() const noexcept {
-    return server_shutdowns_;
-  }
-  // Server class of a given index (heterogeneous fleets; 0 for uniform).
-  [[nodiscard]] std::uint32_t server_class_of(unsigned server) const noexcept {
-    return server_group_[server];
-  }
-  [[nodiscard]] std::uint64_t failures() const noexcept { return failures_; }
-  [[nodiscard]] std::uint64_t repairs() const noexcept { return repairs_; }
-  [[nodiscard]] std::uint64_t boot_timeouts() const noexcept { return boot_timeouts_; }
   // Jobs that survived a crash by moving to another serving server.
   [[nodiscard]] std::uint64_t jobs_redispatched() const noexcept {
     return jobs_redispatched_;
   }
   // Jobs destroyed by a crash (no surviving server could take them).
   [[nodiscard]] std::uint64_t jobs_lost() const noexcept { return jobs_lost_; }
-
-  [[nodiscard]] const Server& server(std::uint32_t index) const;
+  // Server class of a given index (heterogeneous fleets; 0 for uniform).
+  [[nodiscard]] std::uint32_t server_class_of(unsigned server) const noexcept {
+    return server_group_[server];
+  }
 
  private:
-  void reschedule_departure(double now, Server& server, double eta);
-  void maybe_begin_shutdown(double now, Server& server);
   // Reconciles active servers towards `target` within [begin, end);
   // `committed` is the serving+booting count of that range.
   void reconcile_range(double now, std::uint32_t begin, std::uint32_t end,
                        unsigned committed, unsigned target);
   [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> group_range(
       std::size_t group) const;
+  // Hands `job` to the dispatcher's pick; false if nothing serves.
+  bool place(double now, const Job& job);
+  // The serving servers of [begin, end): a slice of the ascending list.
+  [[nodiscard]] std::span<const std::uint32_t> serving_in(std::uint32_t begin,
+                                                         std::uint32_t end) const;
 
-  // -- incremental fleet accounting ----------------------------------------
-  // Every server lifecycle mutation goes through apply_transition so the
-  // serving-set index and the per-state counters stay exact.  The invariant
-  // (checked by tests/test_cluster_property.cpp): counters and index always
-  // equal what a full scan of servers_ would produce.
-  void serving_insert(std::uint32_t index);
-  void serving_erase(std::uint32_t index);
-  template <typename Fn>
-  void apply_transition(Server& server, Fn&& mutate) {
-    const PowerState before = server.state();
-    const bool was_serving = server.serving();
-    mutate();
-    const PowerState after = server.state();
-    const std::uint32_t group = server_group_[server.index()];
-    if (before != after) {
-      if ((before != PowerState::kOff) != (after != PowerState::kOff)) {
-        if (after != PowerState::kOff) ++powered_total_; else --powered_total_;
-      }
-      if ((before == PowerState::kBooting) != (after == PowerState::kBooting)) {
-        if (after == PowerState::kBooting) {
-          ++booting_total_;
-          ++group_booting_[group];
-        } else {
-          --booting_total_;
-          --group_booting_[group];
-        }
-      }
-      if ((before == PowerState::kFailed) != (after == PowerState::kFailed)) {
-        if (after == PowerState::kFailed) ++failed_total_; else --failed_total_;
-      }
-    }
-    const bool is_serving = server.serving();
-    if (was_serving != is_serving) {
-      if (is_serving) serving_insert(server.index());
-      else serving_erase(server.index());
-    }
-  }
-
-  std::vector<Server> servers_;
-  // Serving-set index: serving() servers' indices, ascending.  Updated in
-  // apply_transition; O(serving) insert/erase on the rare lifecycle
-  // transitions buys O(1)/O(serving) dispatch on every arrival.
-  std::vector<std::uint32_t> serving_index_;
-  std::vector<unsigned> group_booting_;
-  unsigned booting_total_ = 0;
-  unsigned powered_total_ = 0;
-  unsigned failed_total_ = 0;
-  EventQueue* queue_;  // non-owning
   std::vector<PowerModel> power_models_;  // one per group; stable addresses
   std::vector<unsigned> group_sizes_;
-  std::vector<double> group_speeds_;      // current common speed per group
   std::vector<std::uint32_t> server_group_;
-  TransitionModel transition_;
   Dispatcher dispatcher_;
   Rng group_rng_;  // used by route_job_to_group
-  FaultInjector* faults_ = nullptr;  // non-owning; may be null
-  TraceCollector* trace_ = nullptr;  // non-owning; may be null
-  double speed_;
-  std::size_t jobs_in_system_ = 0;
   std::uint64_t jobs_dropped_ = 0;
-  std::uint64_t boots_started_ = 0;
-  std::uint64_t shutdowns_started_ = 0;
-  // Per-server transition tallies behind server_boots()/server_shutdowns().
-  std::vector<std::uint32_t> server_boots_;
-  std::vector<std::uint32_t> server_shutdowns_;
-  std::uint64_t failures_ = 0;
-  std::uint64_t repairs_ = 0;
-  std::uint64_t boot_timeouts_ = 0;
   std::uint64_t jobs_redispatched_ = 0;
   std::uint64_t jobs_lost_ = 0;
 };

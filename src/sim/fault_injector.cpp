@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/cluster.h"
 #include "util/assert.h"
 #include "util/format.h"
 
@@ -33,124 +32,104 @@ void FaultOptions::validate() const {
   }
 }
 
-FaultInjector::FaultInjector(const FaultOptions& options, unsigned num_servers,
-                             std::uint64_t seed)
-    : options_(options), num_servers_(num_servers),
-      boot_rng_(Rng(seed, /*stream=*/0).split(0xb007)) {
+FaultInjector::FaultInjector(const FaultOptions& options, unsigned fleet_size,
+                             std::vector<Rng> server_rngs, std::optional<Rng> boot_rng,
+                             unsigned stride, unsigned offset)
+    : options_(options), server_rngs_(std::move(server_rngs)),
+      boot_rng_(std::move(boot_rng)) {
   options_.validate();
-  GC_CHECK(num_servers > 0, "FaultInjector: empty cluster");
-  server_rngs_.reserve(num_servers);
-  Rng root(seed, /*stream=*/0);
-  for (unsigned i = 0; i < num_servers; ++i) {
-    server_rngs_.push_back(root.split(i + 1));
+  GC_CHECK(!server_rngs_.empty(), "FaultInjector: no servers");
+  GC_CHECK(stride >= 1 && offset < stride, "FaultInjector: bad ownership");
+  background_pending_.assign(server_rngs_.size(), false);
+  for (const ScriptedFault& f : options_.script) {
+    if (f.server >= fleet_size) {
+      throw std::invalid_argument(
+          format("FaultOptions: scripted fault targets server {} of {}", f.server,
+                 fleet_size));
+    }
+    if (f.server % stride == offset) {
+      script_.push_back({f.time, f.server / stride, f.repair_after_s});
+    }
   }
-  scripted_repairs_.resize(num_servers);
-  scripted_times_.resize(num_servers);
-  scripted_cursor_.assign(num_servers, 0);
-  background_pending_.assign(num_servers, false);
-
-  std::vector<ScriptedFault> script = options_.script;
-  std::stable_sort(script.begin(), script.end(),
+  std::stable_sort(script_.begin(), script_.end(),
                    [](const ScriptedFault& a, const ScriptedFault& b) {
                      return a.time < b.time;
                    });
-  for (const ScriptedFault& f : script) {
-    if (f.server >= num_servers) {
-      throw std::invalid_argument(
-          format("FaultOptions: scripted fault targets server {} of {}",
-                 f.server, num_servers));
-    }
-    scripted_times_[f.server].push_back(f.time);
-    scripted_repairs_[f.server].push_back(f.repair_after_s);
-  }
-  options_.script = std::move(script);
-}
-
-double FaultInjector::sample_ttf(std::uint32_t server) {
-  GC_DCHECK(options_.mtbf_s > 0.0, "sample_ttf without a background process");
-  return -options_.mtbf_s * std::log(server_rngs_[server].uniform01_open_left());
 }
 
 double FaultInjector::sample_ttr(std::uint32_t server) {
   return -options_.mttr_s * std::log(server_rngs_[server].uniform01_open_left());
 }
 
+void FaultInjector::schedule_failure(double now, std::uint32_t server, EventQueue& queue) {
+  GC_DCHECK(options_.mtbf_s > 0.0, "background failure without a background process");
+  const double ttf = -options_.mtbf_s * std::log(server_rngs_[server].uniform01_open_left());
+  queue.schedule(now + ttf, EventType::kServerFail, server);
+  background_pending_[server] = true;
+}
+
 void FaultInjector::arm(EventQueue& queue) {
   if (options_.mtbf_s > 0.0) {
-    for (std::uint32_t i = 0; i < num_servers_; ++i) {
-      queue.schedule(queue.now() + sample_ttf(i), EventType::kServerFail, i);
-      background_pending_[i] = true;
+    for (std::uint32_t i = 0; i < server_rngs_.size(); ++i) {
+      schedule_failure(queue.now(), i, queue);
     }
   }
-  for (const ScriptedFault& f : options_.script) {
-    queue.schedule(std::max(f.time, queue.now()), EventType::kServerFail, f.server);
+  for (const ScriptedFault& f : script_) {
+    queue.schedule(f.time, EventType::kServerFail, f.server);
   }
 }
 
-bool FaultInjector::on_fail_event(double now, std::uint32_t server, Cluster& cluster,
-                                  EventQueue& queue) {
-  GC_CHECK(server < num_servers_, "on_fail_event: unknown server");
-  // Scripted entries fire in schedule order, so a fail event at (or past)
-  // the next scripted time for this server is that scripted entry; anything
-  // earlier is the background process.
-  double scripted_repair = 0.0;
+void FaultInjector::on_fault_event(double now, EventType type, std::uint32_t server,
+                                   bool crashed, EventQueue& queue) {
+  GC_CHECK(server < server_rngs_.size(), "FaultInjector: unknown server");
+  if (type == EventType::kBootTimeout) {
+    queue.schedule(now + sample_ttr(server), EventType::kServerRepair, server);
+    return;
+  }
+  if (type == EventType::kServerRepair) {
+    // Restart the failure clock unless this server's background chain
+    // already has a pending event (a background fail can tick while FAILED).
+    if (options_.mtbf_s > 0.0 && !background_pending_[server]) {
+      schedule_failure(now, server, queue);
+    }
+    return;
+  }
+  // kServerFail.  Scripted faults fire in time order, so the entry this
+  // event fires (if any) is among the unfired ones at exactly `now`.
   bool scripted = false;
-  std::size_t& cursor = scripted_cursor_[server];
-  if (cursor < scripted_times_[server].size() &&
-      now >= scripted_times_[server][cursor] - 1e-9) {
-    scripted = true;
-    scripted_repair = scripted_repairs_[server][cursor];
-    ++cursor;
-  } else {
-    background_pending_[server] = false;
-  }
-
-  const bool crashed = cluster.fail_server(now, server);
-  if (crashed) {
-    if (scripted) {
-      if (std::isfinite(scripted_repair)) {
-        queue.schedule(now + scripted_repair, EventType::kServerRepair, server);
-      }
-      // else: down for the rest of the run.
-    } else {
-      queue.schedule(now + sample_ttr(server), EventType::kServerRepair, server);
+  for (std::size_t j = script_next_; j < script_.size() && script_[j].time == now; ++j) {
+    if (script_[j].server == server) {
+      std::swap(script_[j], script_[script_next_]);
+      scripted = true;
+      break;
     }
-  } else if (!scripted && options_.mtbf_s > 0.0) {
+  }
+  if (scripted) {
+    const double repair_after = script_[script_next_++].repair_after_s;
+    // A scripted fault on an unpowered server misses; an infinite repair
+    // delay keeps the server down for the rest of the run.
+    if (crashed && std::isfinite(repair_after)) {
+      queue.schedule(now + repair_after, EventType::kServerRepair, server);
+    }
+    return;
+  }
+  background_pending_[server] = false;
+  if (crashed) {
+    queue.schedule(now + sample_ttr(server), EventType::kServerRepair, server);
+  } else {
     // The failure clock ticked while the server was OFF or already FAILED:
-    // nothing crashes, but the background chain must continue.
-    queue.schedule(now + sample_ttf(server), EventType::kServerFail, server);
-    background_pending_[server] = true;
-  }
-  // A scripted fault on a non-powered server is simply dropped; a crashed
-  // server's background chain resumes from its repair.
-  return crashed;
-}
-
-void FaultInjector::on_boot_timeout(double now, std::uint32_t server, Cluster& cluster,
-                                    EventQueue& queue) {
-  GC_CHECK(server < num_servers_, "on_boot_timeout: unknown server");
-  cluster.timeout_boot(now, server);
-  queue.schedule(now + sample_ttr(server), EventType::kServerRepair, server);
-}
-
-void FaultInjector::on_repair_event(double now, std::uint32_t server, Cluster& cluster,
-                                    EventQueue& queue) {
-  GC_CHECK(server < num_servers_, "on_repair_event: unknown server");
-  cluster.repair_server(now, server);
-  // Restart the failure clock unless this server's background chain already
-  // has a pending event (a background fail can tick while FAILED).
-  if (options_.mtbf_s > 0.0 && !background_pending_[server]) {
-    queue.schedule(now + sample_ttf(server), EventType::kServerFail, server);
-    background_pending_[server] = true;
+    // nothing crashes, but the background chain must continue.  A crashed
+    // server's chain resumes from its repair.
+    schedule_failure(now, server, queue);
   }
 }
 
-std::optional<double> FaultInjector::sample_boot_hang(double boot_delay_s) {
+std::optional<double> FaultInjector::sample_boot_hang(std::uint32_t server,
+                                                      double boot_delay_s) {
   if (options_.boot_hang_prob <= 0.0) return std::nullopt;
-  if (boot_rng_.uniform01() >= options_.boot_hang_prob) return std::nullopt;
-  const double timeout =
-      options_.boot_timeout_s > 0.0 ? options_.boot_timeout_s : 3.0 * boot_delay_s;
-  return timeout;
+  Rng& rng = boot_rng_ ? *boot_rng_ : server_rngs_[server];
+  if (rng.uniform01() >= options_.boot_hang_prob) return std::nullopt;
+  return options_.boot_timeout_s > 0.0 ? options_.boot_timeout_s : 3.0 * boot_delay_s;
 }
 
 }  // namespace gc

@@ -17,16 +17,19 @@
 // server at a specific time, with an optional fixed repair delay
 // (defaulting to "never repaired").
 //
-// Determinism: every per-server failure clock draws from its own RNG
-// stream derived via the SplitMix64 scheme in stats/rng.h (Rng::split), so
-// fault sequences are independent of event interleaving and bitwise
-// reproducible across thread counts (replications parallelize above the
-// simulator; see exp/runner.h).
+// Determinism: every server's failure and repair clock draws from its own
+// RNG stream, handed in by the owner, so fault sequences are independent
+// of event interleaving and bitwise reproducible across thread counts.
+// The sequential engine passes Rng(seed, 0).split(i + 1) per server plus
+// one shared boot-hang stream (split(0xb007)); each shard of the sharded
+// engine passes Rng(seed, gi) per owned server and draws a server's boot
+// hangs from that same stream (DESIGN.md §11.4).
 //
-// The injector owns fault *scheduling*; the Cluster owns the state
-// machine.  The simulation loop routes kServerFail / kServerRepair /
-// kBootTimeout events back into the injector, which calls into the
-// cluster and schedules the follow-up event.
+// The injector owns fault *scheduling* and is the only fault process of
+// both engines; the server lifecycle lives in sim/server_pool.h.  The
+// pool routes kServerFail / kServerRepair / kBootTimeout events: it
+// performs the crash, timeout or repair (the owner handles a crash's
+// orphans) and then calls back here to schedule the follow-up event.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +41,6 @@
 #include "stats/rng.h"
 
 namespace gc {
-
-class Cluster;
 
 struct ScriptedFault {
   double time = 0.0;          // crash instant (simulation seconds)
@@ -72,55 +73,58 @@ struct FaultOptions {
   [[nodiscard]] bool enabled() const noexcept {
     return mtbf_s > 0.0 || boot_hang_prob > 0.0 || !script.empty();
   }
+  // The seed both engines derive their fault streams from.
+  [[nodiscard]] std::uint64_t seed_or(std::uint64_t dispatch_seed) const noexcept {
+    return seed != 0 ? seed : dispatch_seed ^ 0xfa7a17f00dULL;
+  }
   // Throws std::invalid_argument on inconsistent settings.
   void validate() const;
 };
 
 class FaultInjector {
  public:
-  FaultInjector(const FaultOptions& options, unsigned num_servers, std::uint64_t seed);
+  // Fault process of `server_rngs.size()` servers addressed by local index:
+  // local server li is server li * stride + offset of a `fleet_size`-server
+  // fleet.  The script is validated against the whole fleet (throws
+  // std::invalid_argument) and keeps the entries this injector owns.  Boot
+  // hangs draw from `boot_rng` when given, else from the booting server's
+  // own stream.
+  FaultInjector(const FaultOptions& options, unsigned fleet_size,
+                std::vector<Rng> server_rngs, std::optional<Rng> boot_rng,
+                unsigned stride = 1, unsigned offset = 0);
 
-  // Schedules the initial background failures and every scripted fault.
-  // Call once, before the first event is popped.
+  // Schedules the initial background failures and every owned scripted
+  // fault.  Call once, before the first event is popped.
   void arm(EventQueue& queue);
 
-  // kServerFail fired: crash the server (if it is powered) and schedule
-  // the repair / the next failure.  Returns true if the server crashed.
-  bool on_fail_event(double now, std::uint32_t server, Cluster& cluster,
-                     EventQueue& queue);
+  // The owner's pool handled a fault event for `server`; schedules what
+  // follows.  kServerFail: `crashed` tells whether the server was powered
+  // and crashed — schedule its repair, or restart a background clock that
+  // ticked while it was unpowered.  kBootTimeout: the hung boot failed —
+  // schedule its repair.  kServerRepair: restart the failure clock.
+  void on_fault_event(double now, EventType type, std::uint32_t server, bool crashed,
+                      EventQueue& queue);
 
-  // kBootTimeout fired: the boot hung; declare the server failed and
-  // schedule its repair.
-  void on_boot_timeout(double now, std::uint32_t server, Cluster& cluster,
-                       EventQueue& queue);
-
-  // kServerRepair fired: return the server to OFF and restart its failure
-  // clock.
-  void on_repair_event(double now, std::uint32_t server, Cluster& cluster,
-                       EventQueue& queue);
-
-  // Called by the Cluster for every boot command: nullopt = the boot
-  // proceeds normally; a value = the boot hangs and the server must be
-  // declared failed after that many seconds.
-  [[nodiscard]] std::optional<double> sample_boot_hang(double boot_delay_s);
+  // Consulted for every boot command: nullopt = the boot proceeds
+  // normally; a value = the boot hangs and the server must be declared
+  // failed after that many seconds.
+  [[nodiscard]] std::optional<double> sample_boot_hang(std::uint32_t server,
+                                                       double boot_delay_s);
 
  private:
-  [[nodiscard]] double sample_ttf(std::uint32_t server);
   [[nodiscard]] double sample_ttr(std::uint32_t server);
+  // Draws the next background failure of `server` and schedules it.
+  void schedule_failure(double now, std::uint32_t server, EventQueue& queue);
 
   FaultOptions options_;
-  unsigned num_servers_;
-  // Stream 0 of `rng_` drives boot-hang coin flips; each server's failure
-  // clock is an independent split so outcomes do not depend on the order
-  // in which other servers' events fire.
-  Rng boot_rng_;
   std::vector<Rng> server_rngs_;
-  // Per-server scripted entries in firing order (matched FIFO as their
-  // kServerFail events fire); background failures track a pending flag so
-  // exactly one background event chain exists per server.
-  std::vector<std::vector<double>> scripted_repairs_;
-  std::vector<std::size_t> scripted_cursor_;
-  std::vector<std::vector<double>> scripted_times_;
+  std::optional<Rng> boot_rng_;
+  // Owned scripted faults (local indices) sorted by time; the first
+  // `script_next_` have fired.  A kServerFail matching an unfired entry's
+  // server and exact time is that entry; anything else is the background
+  // process, which keeps exactly one pending event per server.
+  std::vector<ScriptedFault> script_;
+  std::size_t script_next_ = 0;
   std::vector<bool> background_pending_;
 };
 

@@ -28,13 +28,14 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,8 @@
 #include "power/power_model.h"
 #include "sim/admission.h"
 #include "sim/control_loop.h"
-#include "sim/server.h"
+#include "sim/fault_injector.h"
+#include "sim/server_pool.h"
 #include "stats/accumulators.h"
 #include "stats/log_histogram.h"
 #include "stats/rng.h"
@@ -60,10 +62,9 @@ constexpr std::size_t kNumEventTypes =
 // server index), so the sequence any one server consumes is independent of
 // how the fleet is sharded.  The control-plane streams are drawn by the
 // shared control loop (sim/control_loop.h) on the orchestrator thread; the
-// fault salt and admission stream reuse the sequential engine's, and the
-// admission salt is sharded-only (the sequential engine sheds from one
+// fault seed (FaultOptions::seed_or) and admission stream are the
+// sequential engine's, and the admission salt is sharded-only (the sequential engine sheds from one
 // global stream, which is inherently order-dependent).
-constexpr std::uint64_t kFaultSeedSalt = 0xfa7a17f00dULL;        // = run_simulation
 constexpr std::uint64_t kAdmitSeedSalt = 0xad317755ULL;          // sharded-only
 constexpr std::uint64_t kAdmissionRngStream = 7;                 // = run_simulation
 
@@ -90,59 +91,46 @@ struct PerServerStats {
 };
 
 // One shard: the servers whose global index gi satisfies gi % K == k,
-// stored at local index li = gi / K, with their own event queue, RNG
-// streams, serving-set bitmap and accumulators.  Interleaving keeps the
+// stored at local index li = gi / K in the shard's ServerPool, with their
+// own event queue, RNG streams and accumulators.  Interleaving keeps the
 // serving prefix [0, target) spread evenly over the shards however small
 // the target is.  Shard-local events carry the local index as their
 // subject.  All methods run either on the shard's worker (between
 // barriers) or on the orchestrator thread (at barriers) — never both
 // concurrently.
 struct Shard {
+  Shard(std::uint32_t k, std::uint32_t num_shards, const ClusterOptions& cluster)
+      : index(k), stride(num_shards), power_model(cluster.power),
+        pool(&queue, cluster.transition, cluster.initial_speed) {
+    // The lazy integrals advance before every power-state change.
+    pool.set_before_transition([this](double now, std::uint32_t li) { sync_stats(now, li); });
+  }
+
   // -- static configuration ------------------------------------------------
-  std::uint32_t index = 0;   // k
-  std::uint32_t stride = 1;  // K
-  PowerModel power_model{};  // shard-local copy: stable address for Servers
-  TransitionModel transition_model{};
+  std::uint32_t index;   // k
+  std::uint32_t stride;  // K
+  PowerModel power_model;  // shard-local copy: stable address for Servers
   const Distribution* job_size = nullptr;
-  const FaultOptions* faults = nullptr;  // null when fault injection is off
   double t_ref_s = 0.1;
-  double boot_timeout_s = 0.0;  // resolved (option 0 -> 3x boot delay)
   bool track_window = false;    // timeseries sink attached
   bool track_record = false;    // timeline recording on
 
   // -- simulation state -----------------------------------------------------
   EventQueue queue;
-  std::vector<Server> servers;
+  ServerPool pool;
+  std::optional<FaultInjector> faults;  // engaged when fault injection is on
   std::vector<Rng> size_rng;   // per server
   std::vector<Rng> admit_rng;  // per server; sized only when admission is on
-  std::vector<Rng> fault_rng;  // per server; sized only when faults are on
-  std::vector<std::vector<double>> scripted_times;   // per server, ascending
-  std::vector<std::vector<double>> scripted_repair;  // parallel to the above
-  std::vector<std::size_t> scripted_next;
-  std::vector<char> background_armed;  // one background failure chain/server
 
-  // O(1) fleet accounting (the sharded analogue of Cluster's
-  // apply_transition bookkeeping).  The serving set is a bitmap over local
-  // indices: a transition flips one bit.
-  std::vector<std::uint64_t> serving_bits;
-  unsigned serving_n = 0;
-  unsigned booting = 0;
-  unsigned powered = 0;
-  unsigned failed = 0;
-  std::size_t jobs = 0;
-
-  // Frozen round-robin assignment for the current window (copy-on-dirty:
-  // re-listed from the bitmap at a barrier only when the serving set
-  // changed).  `frozen` holds the serving local indices in ascending order;
-  // `owned_ranks[j]` is the global round-robin rank of frozen[j], assigned
-  // by the orchestrator's merge (ShardedFleet::freeze_window).
-  bool serving_dirty = true;
-  std::vector<std::uint32_t> frozen;
+  // Frozen round-robin assignment for the current window: the pool's
+  // serving snapshot (re-listed only at a barrier that found the serving
+  // set changed) and `owned_ranks[j]`, the global round-robin rank of its
+  // j-th entry, assigned by the orchestrator's merge
+  // (ShardedFleet::freeze_window).
   std::vector<std::uint32_t> owned_ranks;
 
   // Commanded control state, broadcast by the orchestrator at barriers.
   unsigned target = 0;
-  double commanded_speed = 1.0;
   double p_admit = 1.0;
   bool admission_on = false;
   bool measuring = false;
@@ -150,8 +138,6 @@ struct Shard {
   // -- per-server statistics (canonical folds read these) -------------------
   std::vector<PerServerStats> stats;
   std::vector<EnergyBreakdown> warm_energy;
-  std::vector<std::uint32_t> server_boots;
-  std::vector<std::uint32_t> server_shutdowns;
 
   // -- shard integer totals (merge exactly in any order) --------------------
   std::array<std::uint64_t, kNumEventTypes> events{};
@@ -159,11 +145,6 @@ struct Shard {
   std::uint64_t shed = 0;
   std::uint64_t dropped = 0;
   std::uint64_t lost = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t repairs = 0;
-  std::uint64_t boot_timeouts = 0;
-  std::uint64_t boots = 0;
-  std::uint64_t shutdowns = 0;
   std::uint64_t violations = 0;  // post-warmup per-job tail violations
   LogHistogram response_hist;    // post-warmup
 
@@ -174,21 +155,13 @@ struct Shard {
   std::vector<std::uint32_t> window_touched;  // global indices, unsorted
   std::vector<std::uint32_t> record_touched;
 
-  [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(servers.size());
-  }
+  [[nodiscard]] unsigned size() const noexcept { return pool.num_servers(); }
   [[nodiscard]] std::uint32_t global(std::uint32_t li) const noexcept {
     return li * stride + index;
   }
   // Number of owned servers with a global index below `gi`.
   [[nodiscard]] std::uint32_t owned_below(std::uint32_t gi) const noexcept {
     return gi <= index ? 0 : (gi - index + stride - 1) / stride;
-  }
-  [[nodiscard]] unsigned committed_count() const noexcept {
-    return serving_n + booting;
-  }
-  [[nodiscard]] unsigned available_count() const noexcept {
-    return size() - failed;
   }
 
   // Advances server li's lazy time-integrals to `now` using its *current*
@@ -197,187 +170,11 @@ struct Shard {
     PerServerStats& ps = stats[li];
     const double dt = now - ps.anchor;
     if (dt <= 0.0) return;
-    const Server& s = servers[li];
+    const Server& s = pool.server(li);
     ps.jobs_integral += dt * static_cast<double>(s.queue_length());
     if (s.serving()) ps.serving_integral += dt;
     if (!s.failed()) ps.available_integral += dt;
     ps.anchor = now;
-  }
-
-  void serving_insert(std::uint32_t li) {
-    serving_bits[li >> 6] |= std::uint64_t{1} << (li & 63);
-    ++serving_n;
-    serving_dirty = true;
-  }
-  void serving_erase(std::uint32_t li) {
-    const std::uint64_t bit = std::uint64_t{1} << (li & 63);
-    GC_DCHECK((serving_bits[li >> 6] & bit) != 0, "sharded: serving set out of sync");
-    serving_bits[li >> 6] &= ~bit;
-    --serving_n;
-    serving_dirty = true;
-  }
-  // Re-lists the serving set into `frozen`, ascending.
-  void refreeze() {
-    frozen.clear();
-    for (std::size_t w = 0; w < serving_bits.size(); ++w) {
-      for (std::uint64_t bits = serving_bits[w]; bits != 0; bits &= bits - 1) {
-        frozen.push_back(static_cast<std::uint32_t>(w * 64) +
-                         static_cast<std::uint32_t>(std::countr_zero(bits)));
-      }
-    }
-    serving_dirty = false;
-  }
-
-  // Runs a power-state mutation keeping the O(1) counters and the serving
-  // set in sync (the shard-side mirror of Cluster::apply_transition).
-  template <typename Fn>
-  void transition(double now, std::uint32_t li, Fn&& mutate) {
-    Server& s = servers[li];
-    sync_stats(now, li);
-    const PowerState before = s.state();
-    const bool was_serving = s.serving();
-    mutate(s);
-    const PowerState after = s.state();
-    if (before != after) {
-      const bool was_powered = before != PowerState::kOff;
-      const bool is_powered = after != PowerState::kOff;
-      if (was_powered != is_powered) is_powered ? ++powered : --powered;
-      const bool was_booting = before == PowerState::kBooting;
-      const bool is_booting = after == PowerState::kBooting;
-      if (was_booting != is_booting) is_booting ? ++booting : --booting;
-      const bool was_failed = before == PowerState::kFailed;
-      const bool is_failed = after == PowerState::kFailed;
-      if (was_failed != is_failed) is_failed ? ++failed : --failed;
-    }
-    const bool is_serving = s.serving();
-    if (was_serving != is_serving) {
-      is_serving ? serving_insert(li) : serving_erase(li);
-    }
-  }
-
-  [[nodiscard]] double sample_ttf(std::uint32_t li) {
-    return -faults->mtbf_s * std::log(fault_rng[li].uniform01_open_left());
-  }
-  [[nodiscard]] double sample_ttr(std::uint32_t li) {
-    return -faults->mttr_s * std::log(fault_rng[li].uniform01_open_left());
-  }
-
-  void boot_server(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.start_boot(now); });
-    ++boots;
-    ++server_boots[li];
-    Server& s = servers[li];
-    // Boot-hang draw from the server's own fault stream (the sequential
-    // engine uses one shared stream; see DESIGN.md §11.1).  Drawn only when
-    // the outcome can differ from a clean boot.
-    if (faults != nullptr && faults->boot_hang_prob > 0.0 &&
-        fault_rng[li].uniform01() < faults->boot_hang_prob) {
-      s.pending_transition =
-          queue.schedule(now + boot_timeout_s, EventType::kBootTimeout, li);
-    } else {
-      s.pending_transition = queue.schedule(
-          now + transition_model.boot_delay_s, EventType::kBootComplete, li);
-    }
-  }
-
-  void start_drain(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.set_draining(now, true); });
-    maybe_begin_shutdown(now, li);
-  }
-
-  void maybe_begin_shutdown(double now, std::uint32_t li) {
-    Server& s = servers[li];
-    if (s.state() != PowerState::kOn || !s.draining() || s.queue_length() != 0) {
-      return;
-    }
-    transition(now, li, [&](Server& sv) { sv.begin_shutdown(now); });
-    ++shutdowns;
-    ++server_shutdowns[li];
-    s.pending_transition = queue.schedule(
-        now + transition_model.shutdown_delay_s, EventType::kShutdownComplete, li);
-  }
-
-  void on_boot_complete(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.finish_boot(now); });
-    servers[li].pending_transition = kInvalidEventId;
-    // The target may have moved below this server while it booted.
-    if (global(li) >= target) start_drain(now, li);
-  }
-
-  void on_shutdown_complete(double now, std::uint32_t li) {
-    transition(now, li, [&](Server& s) { s.finish_shutdown(now); });
-    servers[li].pending_transition = kInvalidEventId;
-    if (global(li) < target) boot_server(now, li);
-  }
-
-  // Fail-stop crash: cancel the server's pending events, orphan its jobs
-  // (lost — the sharded model never re-dispatches across the frozen
-  // assignment) and count the failure.
-  void crash(double now, std::uint32_t li, bool from_boot_timeout) {
-    Server& s = servers[li];
-    queue.cancel(s.pending_departure);
-    s.pending_departure = kInvalidEventId;
-    queue.cancel(s.pending_transition);
-    s.pending_transition = kInvalidEventId;
-    std::vector<Job> orphans;
-    transition(now, li, [&](Server& sv) { orphans = sv.fail(now); });
-    jobs -= orphans.size();
-    lost += orphans.size();
-    ++failures;
-    if (from_boot_timeout) ++boot_timeouts;
-  }
-
-  void on_fail_event(double now, std::uint32_t li) {
-    // Scripted kServerFail events carry their exact scripted time; matched
-    // FIFO per server against the background failure chain.
-    bool scripted = false;
-    double repair_after = 0.0;
-    if (scripted_next[li] < scripted_times[li].size() &&
-        scripted_times[li][scripted_next[li]] == now) {
-      scripted = true;
-      repair_after = scripted_repair[li][scripted_next[li]];
-      ++scripted_next[li];
-    } else {
-      background_armed[li] = 0;
-    }
-    const PowerState st = servers[li].state();
-    const bool can_crash = st == PowerState::kBooting || st == PowerState::kOn ||
-                           st == PowerState::kShuttingDown;
-    if (scripted) {
-      if (!can_crash) return;  // already OFF/FAILED: the script misses
-      crash(now, li, /*from_boot_timeout=*/false);
-      if (std::isfinite(repair_after)) {
-        queue.schedule(now + repair_after, EventType::kServerRepair, li);
-      }
-      return;
-    }
-    if (!can_crash) {
-      // Unpowered when the clock fired: restart the background clock.
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
-      background_armed[li] = 1;
-      return;
-    }
-    crash(now, li, /*from_boot_timeout=*/false);
-    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
-  }
-
-  void on_repair_event(double now, std::uint32_t li) {
-    if (servers[li].state() != PowerState::kFailed) return;
-    transition(now, li, [&](Server& sv) { sv.finish_repair(now); });
-    ++repairs;
-    if (faults != nullptr && faults->mtbf_s > 0.0 && !background_armed[li]) {
-      queue.schedule(now + sample_ttf(li), EventType::kServerFail, li);
-      background_armed[li] = 1;
-    }
-    if (global(li) < target) boot_server(now, li);
-  }
-
-  void on_boot_timeout(double now, std::uint32_t li) {
-    Server& s = servers[li];
-    if (s.state() != PowerState::kBooting) return;
-    s.pending_transition = kInvalidEventId;  // this event
-    crash(now, li, /*from_boot_timeout=*/true);
-    queue.schedule(now + sample_ttr(li), EventType::kServerRepair, li);
   }
 
   // The event handlers keep every server settled against the target:
@@ -387,7 +184,7 @@ struct Shard {
   [[nodiscard]] bool settled_outside(std::uint32_t lo, std::uint32_t hi) const {
     for (std::uint32_t li = 0; li < size(); ++li) {
       if (li >= lo && li < hi) continue;
-      const Server& s = servers[li];
+      const Server& s = pool.server(li);
       const bool settled = global(li) < target
                                ? s.state() != PowerState::kOff && !s.draining()
                                : !s.serving();
@@ -407,32 +204,17 @@ struct Shard {
     target = new_target;
     GC_DCHECK(settled_outside(lo, hi), "sharded: server unsettled outside reconcile range");
     for (std::uint32_t li = lo; li < hi; ++li) {
-      Server& s = servers[li];
+      const Server& s = pool.server(li);
       if (global(li) < target) {
         if (s.state() == PowerState::kOff) {
-          boot_server(now, li);
+          pool.boot(now, li);
         } else if (s.state() == PowerState::kOn && s.draining()) {
-          transition(now, li, [&](Server& sv) { sv.set_draining(now, false); });
+          pool.revive(now, li);
         }
         // BOOTING / SHUTTING_DOWN / FAILED catch up from their completion
         // events; an ON serving server is already where it should be.
       } else if (s.serving()) {
-        start_drain(now, li);
-      }
-    }
-  }
-
-  void set_speed_all(double now, double speed) {
-    // Every server already runs at the commanded speed, so an unchanged
-    // command is a no-op.
-    if (speed == commanded_speed) return;
-    commanded_speed = speed;
-    for (std::uint32_t li = 0; li < size(); ++li) {
-      Server& s = servers[li];
-      const auto eta = s.set_speed(now, speed);
-      if (eta) {
-        queue.cancel(s.pending_departure);
-        s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
+        pool.drain(now, li);
       }
     }
   }
@@ -448,8 +230,7 @@ struct Shard {
       }
     }
     ++admitted;
-    Server& s = servers[li];
-    if (!s.serving()) {
+    if (!pool.server(li).serving()) {
       // Frozen assignments outlive mid-window crashes/drains; arrivals to a
       // server that stopped serving are dropped, mirroring a stale routing
       // table.
@@ -461,63 +242,61 @@ struct Shard {
     job.id = static_cast<std::uint64_t>(arrival);
     job.arrival_time = now;
     job.size = job.remaining = job_size->sample(size_rng[li]);
-    ++jobs;
-    const auto eta = s.enqueue(now, job);
-    if (eta) {
-      s.pending_departure = queue.schedule(*eta, EventType::kDeparture, li);
-    }
+    pool.enqueue(now, li, job);
   }
 
   void on_departure(double now, std::uint32_t li) {
-    Server& s = servers[li];
     sync_stats(now, li);
-    const auto completion = s.complete_current(now);
-    s.pending_departure =
-        completion.next_eta
-            ? queue.schedule(*completion.next_eta, EventType::kDeparture, li)
-            : kInvalidEventId;
-    --jobs;
-    const double response = now - completion.finished.arrival_time;
-    if (measuring) {
-      PerServerStats& ps = stats[li];
-      ++ps.completed;
-      ps.response_sum += response;
-      if (response > ps.response_max) ps.response_max = response;
-      if (response > t_ref_s) ++violations;
-      response_hist.add(response);
-      if (track_window) {
-        window_hist.add(response);
-        ++window_completed;
-        if (response > t_ref_s) ++window_violations;
-        if (ps.window_count == 0) window_touched.push_back(global(li));
-        ps.window_sum += response;
-        ++ps.window_count;
-      }
-      if (track_record) {
-        if (ps.record_count == 0) record_touched.push_back(global(li));
-        ps.record_sum += response;
-        ++ps.record_count;
-      }
+    const Job finished = pool.handle_departure(now, li);
+    if (!measuring) return;
+    const double response = now - finished.arrival_time;
+    PerServerStats& ps = stats[li];
+    ++ps.completed;
+    ps.response_sum += response;
+    if (response > ps.response_max) ps.response_max = response;
+    if (response > t_ref_s) ++violations;
+    response_hist.add(response);
+    if (track_window) {
+      window_hist.add(response);
+      ++window_completed;
+      if (response > t_ref_s) ++window_violations;
+      if (ps.window_count == 0) window_touched.push_back(global(li));
+      ps.window_sum += response;
+      ++ps.window_count;
     }
-    if (!completion.next_eta) maybe_begin_shutdown(now, li);
+    if (track_record) {
+      if (ps.record_count == 0) record_touched.push_back(global(li));
+      ps.record_sum += response;
+      ++ps.record_count;
+    }
   }
 
   void dispatch(const Event& event) {
     ++events[static_cast<std::size_t>(event.type)];
+    const double now = event.time;
+    const std::uint32_t li = event.subject;
     switch (event.type) {
-      case EventType::kDeparture: on_departure(event.time, event.subject); break;
+      case EventType::kDeparture: on_departure(now, li); break;
       case EventType::kBootComplete:
-        on_boot_complete(event.time, event.subject);
+        pool.handle_boot_complete(now, li);
+        // The target may have moved below this server while it booted.
+        if (global(li) >= target) pool.drain(now, li);
         break;
       case EventType::kShutdownComplete:
-        on_shutdown_complete(event.time, event.subject);
+        pool.handle_shutdown_complete(now, li);
+        if (global(li) < target) pool.boot(now, li);
         break;
-      case EventType::kServerFail: on_fail_event(event.time, event.subject); break;
+      case EventType::kServerFail:
       case EventType::kServerRepair:
-        on_repair_event(event.time, event.subject);
-        break;
       case EventType::kBootTimeout:
-        on_boot_timeout(event.time, event.subject);
+        // Orphans are lost: the frozen assignment has no one to hand them
+        // to (DESIGN.md §11.1).
+        (void)pool.handle_fault_event(now, event.type, li,
+                                  [&](std::vector<Job>& orphans) { lost += orphans.size(); });
+        // A repaired server below the target boots again at once.
+        if (event.type == EventType::kServerRepair && global(li) < target) {
+          pool.boot(now, li);
+        }
         break;
       default: GC_CHECK(false, "sharded: unexpected shard-local event type");
     }
@@ -531,6 +310,7 @@ struct Shard {
   // A queue event at an arrival's exact time runs first.
   void advance_to(double barrier, const std::vector<double>& arrivals,
                   std::size_t lo, std::size_t hi, std::size_t window_m) {
+    const std::span<const std::uint32_t> frozen = pool.serving_snapshot();
     const std::size_t owned = owned_ranks.size();
     std::size_t block = 0;
     std::size_t j = 0;
@@ -571,13 +351,12 @@ struct Shard {
   // Warmup barrier: flush and snapshot energy, zero the time-integrals, and
   // start recording response statistics.
   void begin_measuring(double now) {
+    pool.flush_energy(now);
     for (std::uint32_t li = 0; li < size(); ++li) {
       sync_stats(now, li);
-      Server& s = servers[li];
-      s.flush_energy(now);
-      warm_energy[li] =
-          EnergyBreakdown{s.meter().joules_busy(), s.meter().joules_idle(),
-                          s.meter().joules_transition(), s.meter().joules_off()};
+      const EnergyMeter& meter = pool.server(li).meter();
+      warm_energy[li] = EnergyBreakdown{meter.joules_busy(), meter.joules_idle(),
+                                        meter.joules_transition(), meter.joules_off()};
       PerServerStats& ps = stats[li];
       ps.anchor = now;
       ps.jobs_integral = 0.0;
@@ -588,10 +367,8 @@ struct Shard {
   }
 
   void finalize(double now) {
-    for (std::uint32_t li = 0; li < size(); ++li) {
-      sync_stats(now, li);
-      servers[li].flush_energy(now);
-    }
+    for (std::uint32_t li = 0; li < size(); ++li) sync_stats(now, li);
+    pool.flush_energy(now);
   }
 
   // Events this shard processed: queue pops plus owned arrivals.
@@ -666,26 +443,27 @@ struct ShardedFleet final : ControlLoop::Fleet {
   void freeze_window() {
     bool dirty = false;
     for (const auto& s : shards) {
-      if (s->serving_dirty) {
-        s->refreeze();
+      if (s->pool.serving_changed()) {
+        (void)s->pool.serving();  // re-lists the serving snapshot
         dirty = true;
       }
     }
     if (!dirty) return;
     merge_cursor.assign(shards.size(), 0);
-    for (const auto& s : shards) s->owned_ranks.resize(s->frozen.size());
+    for (const auto& s : shards) s->owned_ranks.resize(s->pool.serving_snapshot().size());
     std::uint32_t rank = 0;
     for (;;) {
       std::uint32_t row = std::numeric_limits<std::uint32_t>::max();
       for (std::size_t k = 0; k < shards.size(); ++k) {
-        const std::vector<std::uint32_t>& frozen = shards[k]->frozen;
+        const std::span<const std::uint32_t> frozen = shards[k]->pool.serving_snapshot();
         if (merge_cursor[k] < frozen.size()) row = std::min(row, frozen[merge_cursor[k]]);
       }
       if (row == std::numeric_limits<std::uint32_t>::max()) break;
       for (std::size_t k = 0; k < shards.size(); ++k) {
         Shard& s = *shards[k];
         std::size_t& c = merge_cursor[k];
-        if (c < s.frozen.size() && s.frozen[c] == row) s.owned_ranks[c++] = rank++;
+        const std::span<const std::uint32_t> frozen = s.pool.serving_snapshot();
+        if (c < frozen.size() && frozen[c] == row) s.owned_ranks[c++] = rank++;
       }
     }
     window_m = rank;
@@ -701,9 +479,9 @@ struct ShardedFleet final : ControlLoop::Fleet {
     for (const auto& s : shards) {
       t.dropped += s->dropped;
       t.lost += s->lost;
-      t.failures += s->failures;
-      t.repairs += s->repairs;
-      t.boot_timeouts += s->boot_timeouts;
+      t.failures += s->pool.failures();
+      t.repairs += s->pool.repairs();
+      t.boot_timeouts += s->pool.boot_timeouts();
     }
     return t;
   }
@@ -735,11 +513,11 @@ struct ShardedFleet final : ControlLoop::Fleet {
   State state() const override {
     State st;
     for (const auto& s : shards) {
-      st.serving += s->serving_n;
-      st.committed += s->committed_count();
-      st.powered += s->powered;
-      st.available += s->available_count();
-      st.jobs += s->jobs;
+      st.serving += s->pool.serving_count();
+      st.committed += s->pool.committed_count();
+      st.powered += s->pool.powered_count();
+      st.available += s->pool.available_count();
+      st.jobs += s->pool.jobs_in_system();
     }
     return st;
   }
@@ -750,15 +528,15 @@ struct ShardedFleet final : ControlLoop::Fleet {
     for (const auto& s : shards) {
       t.admitted += s->admitted;
       t.shed += s->shed;
-      t.boots += s->boots;
-      t.shutdowns += s->shutdowns;
+      t.boots += s->pool.boots_started();
+      t.shutdowns += s->pool.shutdowns_started();
     }
     return t;
   }
   double power_w() const override {
     double watts = 0.0;
     for_each_server([&](const Shard& s, std::uint32_t li, std::uint32_t) {
-      watts += s.servers[li].instantaneous_power();
+      watts += s.pool.server(li).instantaneous_power();
     });
     return watts;
   }
@@ -767,7 +545,7 @@ struct ShardedFleet final : ControlLoop::Fleet {
     if (!wear->enabled()) return 0.0;
     double total = 0.0;
     for_each_server([&](const Shard& s, std::uint32_t li, std::uint32_t) {
-      total += wear->wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+      total += wear->wear_fraction(s.pool.server_boots()[li], s.pool.server_shutdowns()[li]);
     });
     return total / static_cast<double>(num_servers);
   }
@@ -813,7 +591,7 @@ struct ShardedFleet final : ControlLoop::Fleet {
   void apply_speed(double now, double speed) override {
     speed_avg.advance(now, commanded_speed);
     commanded_speed = speed;
-    parallel([&](std::size_t k) { shards[k]->set_speed_all(now, speed); });
+    parallel([&](std::size_t k) { shards[k]->pool.set_speed(now, speed); });
   }
   void schedule(double at, EventType type, std::uint32_t subject) override {
     orchestrator->schedule(at, type, subject);
@@ -833,7 +611,6 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(cluster.groups.empty(),
            "sharded: heterogeneous server groups are sequential-only");
   GC_CHECK(sharded.num_shards >= 1, "sharded: num_shards must be >= 1");
-  if (options.faults.enabled()) options.faults.validate();
   options.admission.validate();
 
   const unsigned num_servers = cluster.num_servers;
@@ -851,9 +628,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   GC_CHECK(t_short > 0.0 && t_long > 0.0,
            "sharded: controller periods must be positive");
 
-  const std::uint64_t fault_seed = options.faults.seed != 0
-                                       ? options.faults.seed
-                                       : cluster.dispatch_seed ^ kFaultSeedSalt;
+  const std::uint64_t fault_seed = options.faults.seed_or(cluster.dispatch_seed);
   // The orchestrator instance only computes the admit probability; the
   // per-arrival draws happen shard-side from per-server streams.
   AdmissionController admission(options.admission, options.t_ref_s,
@@ -874,41 +649,28 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   shards.reserve(num_shards);
   {
     for (unsigned k = 0; k < num_shards; ++k) {
-      auto shard = std::make_unique<Shard>();
+      auto shard = std::make_unique<Shard>(k, num_shards, cluster);
       Shard& s = *shard;
-      s.index = k;
-      s.stride = num_shards;
-      s.power_model = PowerModel(cluster.power);
-      s.transition_model = cluster.transition;
       s.job_size = &job_size;
       s.t_ref_s = options.t_ref_s;
       s.track_window = options.timeseries != nullptr;
       s.track_record = options.record_interval_s > 0.0;
       s.target = initial_active;
-      s.commanded_speed = cluster.initial_speed;
       s.admission_on = options.admission.enabled;
       s.measuring = options.warmup_s <= 0.0;
       if (options.expected_events_hint > 0) {
         s.queue.reserve(options.expected_events_hint / num_shards + 1);
       }
       const unsigned count = s.owned_below(num_servers);
-      s.servers.reserve(count);
+      s.pool.reserve(count);
       s.size_rng.reserve(count);
       s.stats.resize(count);
       s.warm_energy.resize(count);
-      s.server_boots.assign(count, 0);
-      s.server_shutdowns.assign(count, 0);
-      s.serving_bits.assign((count + 63) / 64, 0);
       for (std::uint32_t li = 0; li < count; ++li) {
         const std::uint32_t gi = s.global(li);
-        const bool initially_on = gi < initial_active;
-        s.servers.emplace_back(gi, &s.power_model, cluster.initial_speed,
-                               initially_on, 0.0);
+        s.pool.add(gi, &s.power_model, cluster.initial_speed,
+                   /*initially_on=*/gi < initial_active);
         s.size_rng.emplace_back(workload_seed, gi);
-        if (initially_on) {
-          s.serving_insert(li);
-          ++s.powered;
-        }
       }
       if (options.admission.enabled) {
         s.admit_rng.reserve(count);
@@ -917,49 +679,17 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
         }
       }
       if (options.faults.enabled()) {
-        s.faults = &options.faults;
-        s.boot_timeout_s = options.faults.boot_timeout_s > 0.0
-                               ? options.faults.boot_timeout_s
-                               : 3.0 * cluster.transition.boot_delay_s;
-        s.fault_rng.reserve(count);
+        // Per-server streams double as the boot-hang streams (§11.4); the
+        // script is validated against the whole fleet.
+        std::vector<Rng> streams;
+        streams.reserve(count);
         for (std::uint32_t li = 0; li < count; ++li) {
-          s.fault_rng.emplace_back(fault_seed, s.global(li));
+          streams.emplace_back(fault_seed, s.global(li));
         }
-        s.scripted_times.resize(count);
-        s.scripted_repair.resize(count);
-        s.scripted_next.assign(count, 0);
-        s.background_armed.assign(count, 0);
-        for (const ScriptedFault& f : options.faults.script) {
-          if (f.server < num_servers && f.server % num_shards == k) {
-            s.scripted_times[f.server / num_shards].push_back(f.time);
-            s.scripted_repair[f.server / num_shards].push_back(f.repair_after_s);
-          }
-        }
-        for (std::uint32_t li = 0; li < count; ++li) {
-          // Keep (time, repair) pairs sorted by time so the FIFO match at
-          // on_fail_event sees them in firing order.
-          auto& times = s.scripted_times[li];
-          auto& reps = s.scripted_repair[li];
-          std::vector<std::size_t> order(times.size());
-          for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-          std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-            return times[a] < times[b];
-          });
-          std::vector<double> st(times.size()), sr(times.size());
-          for (std::size_t i = 0; i < order.size(); ++i) {
-            st[i] = times[order[i]];
-            sr[i] = reps[order[i]];
-          }
-          times = std::move(st);
-          reps = std::move(sr);
-          for (const double t : times) {
-            s.queue.schedule(t, EventType::kServerFail, li);
-          }
-          if (options.faults.mtbf_s > 0.0) {
-            s.queue.schedule(s.sample_ttf(li), EventType::kServerFail, li);
-            s.background_armed[li] = 1;
-          }
-        }
+        s.faults.emplace(options.faults, num_servers, std::move(streams), std::nullopt,
+                         num_shards, k);
+        s.pool.set_fault_injector(&*s.faults);
+        s.faults->arm(s.queue);
       }
       shards.push_back(std::move(shard));
     }
@@ -1148,13 +878,15 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     jobs_integral += ps.jobs_integral;
     serving_integral += ps.serving_integral;
     available_integral += ps.available_integral;
-    const EnergyMeter& meter = s.servers[li].meter();
+    const EnergyMeter& meter = s.pool.server(li).meter();
     energy.busy_j += meter.joules_busy() - s.warm_energy[li].busy_j;
     energy.idle_j += meter.joules_idle() - s.warm_energy[li].idle_j;
     energy.transition_j += meter.joules_transition() - s.warm_energy[li].transition_j;
     energy.off_j += meter.joules_off() - s.warm_energy[li].off_j;
-    result.server_cycles[gi] = s.server_boots[li] + s.server_shutdowns[li];
-    const double frac = wear.wear_fraction(s.server_boots[li], s.server_shutdowns[li]);
+    const std::uint32_t boots = s.pool.server_boots()[li];
+    const std::uint32_t shutdowns = s.pool.server_shutdowns()[li];
+    result.server_cycles[gi] = boots + shutdowns;
+    const double frac = wear.wear_fraction(boots, shutdowns);
     wear_sum += frac;
     if (frac > result.wear_fraction_max) result.wear_fraction_max = frac;
   });
@@ -1213,6 +945,9 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   }
   result.wear_fraction_mean =
       num_servers > 0 ? wear_sum / static_cast<double>(num_servers) : 0.0;
+  // The merged running sums would add in shard order; the canonical fold
+  // of the same samples makes the histogram's sum K-invariant too.
+  response_hist.set_sum(response_sum);
   result.response_hist = std::move(response_hist);
   result.timeline = std::move(timeline);
 

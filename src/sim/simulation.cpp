@@ -106,11 +106,14 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
   // replications (which re-seed the spec) on independent fault histories.
   std::optional<FaultInjector> injector;
   if (options.faults.enabled()) {
-    const std::uint64_t fault_seed =
-        options.faults.seed != 0
-            ? options.faults.seed
-            : cluster_options.dispatch_seed ^ 0xfa7a17f00dULL;
-    injector.emplace(options.faults, cluster.num_servers(), fault_seed);
+    // Per-server failure clocks split off one root stream; boot hangs draw
+    // from one shared stream (DESIGN.md §11.1).
+    Rng root(options.faults.seed_or(cluster_options.dispatch_seed), /*stream=*/0);
+    std::vector<Rng> streams;
+    streams.reserve(cluster.num_servers());
+    for (unsigned i = 0; i < cluster.num_servers(); ++i) streams.push_back(root.split(i + 1));
+    injector.emplace(options.faults, cluster.num_servers(), std::move(streams),
+                     root.split(0xb007));
     cluster.set_fault_injector(&*injector);
     injector->arm(queue);
   }
@@ -289,18 +292,15 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
         cluster.handle_shutdown_complete(now, event->subject);
         break;
       case EventType::kServerFail:
-        GC_CHECK(injector.has_value(), "fail event without an injector");
-        (void)injector->on_fail_event(now, event->subject, cluster, queue);
+        (void)cluster.handle_fault_event(now, event->type, event->subject);
         trace_instant(trace, now, "fault", "server-fail");
         break;
       case EventType::kServerRepair:
-        GC_CHECK(injector.has_value(), "repair event without an injector");
-        injector->on_repair_event(now, event->subject, cluster, queue);
+        (void)cluster.handle_fault_event(now, event->type, event->subject);
         trace_instant(trace, now, "fault", "server-repair");
         break;
       case EventType::kBootTimeout:
-        GC_CHECK(injector.has_value(), "boot timeout without an injector");
-        injector->on_boot_timeout(now, event->subject, cluster, queue);
+        (void)cluster.handle_fault_event(now, event->type, event->subject);
         trace_instant(trace, now, "fault", "boot-timeout");
         break;
       case EventType::kShortTick:

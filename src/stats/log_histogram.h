@@ -70,6 +70,11 @@ class LogHistogram {
   [[nodiscard]] const LogHistogramOptions& options() const noexcept { return options_; }
   [[nodiscard]] bool same_geometry(const LogHistogram& other) const noexcept;
 
+  // Replaces the running sum with `sum`, the same samples' total folded in
+  // a fixed order, so a histogram merged from partial ones reports a sum
+  // that does not depend on the merge order.
+  void set_sum(double sum) noexcept { sum_ = sum; }
+
   // Exact pooling: afterwards *this is indistinguishable from having seen
   // both sample streams.  Throws std::invalid_argument on geometry mismatch.
   void merge(const LogHistogram& other);

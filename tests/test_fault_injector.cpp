@@ -35,6 +35,14 @@ Job make_job(std::uint64_t id, double now, double size) {
   return job;
 }
 
+// Injector for a whole fleet: one stream per server, one boot-hang stream.
+FaultInjector make_injector(const FaultOptions& faults, unsigned servers,
+                            std::uint64_t seed) {
+  std::vector<Rng> streams;
+  for (unsigned i = 0; i < servers; ++i) streams.emplace_back(seed, i + 1);
+  return FaultInjector(faults, servers, std::move(streams), Rng(seed, 0));
+}
+
 // Pops events up to `horizon` and routes them the way simulation.cpp does.
 // An event past the horizon is put back (with a fresh id — fine for these
 // tests, which never resume the run across a put-back boundary in a way
@@ -50,7 +58,7 @@ struct FaultHarness {
 
   FaultHarness(const ClusterOptions& options, const FaultOptions& faults,
                std::uint64_t seed)
-      : cluster(options, &queue), injector(faults, options.num_servers, seed) {
+      : cluster(options, &queue), injector(make_injector(faults, options.num_servers, seed)) {
     cluster.set_fault_injector(&injector);
     injector.arm(queue);
   }
@@ -74,15 +82,13 @@ struct FaultHarness {
           cluster.handle_shutdown_complete(now, event->subject);
           break;
         case EventType::kServerFail:
-          if (injector.on_fail_event(now, event->subject, cluster, queue)) {
+          if (cluster.handle_fault_event(now, event->type, event->subject)) {
             crash_log.emplace_back(now, event->subject);
           }
           break;
         case EventType::kServerRepair:
-          injector.on_repair_event(now, event->subject, cluster, queue);
-          break;
         case EventType::kBootTimeout:
-          injector.on_boot_timeout(now, event->subject, cluster, queue);
+          (void)cluster.handle_fault_event(now, event->type, event->subject);
           break;
         default:
           break;
@@ -133,7 +139,7 @@ TEST(FaultOptions, EnabledOnlyWithAFaultSource) {
 TEST(FaultInjector, RejectsScriptBeyondFleet) {
   FaultOptions faults;
   faults.script.push_back({1.0, 7});
-  EXPECT_THROW(FaultInjector(faults, 4, 1), std::invalid_argument);
+  EXPECT_THROW(make_injector(faults, 4, 1), std::invalid_argument);
 }
 
 TEST(FaultInjector, ScriptedCrashThenFixedRepair) {
