@@ -25,6 +25,14 @@ void MetricsCollector::on_job_completed(double now, const Job& job) {
   }
 }
 
+void MetricsCollector::reset_response_stats() {
+  response_ = MeanVarAccumulator();
+  p95_ = P2Quantile(0.95);
+  p99_ = P2Quantile(0.99);
+  violations_ = RatioAccumulator();
+  response_hist_.clear();
+}
+
 PeriodWindowStats MetricsCollector::take_period_window() noexcept {
   PeriodWindowStats stats;
   if (!period_window_on_ || period_completed_ == 0) {

@@ -44,8 +44,12 @@ class MetricsCollector {
  public:
   explicit MetricsCollector(double t_ref_s);
 
-  // Called for every completed job past warmup.
+  // Called for every completed job: feeds the windows below and the
+  // response statistics.
   void on_job_completed(double now, const Job& job);
+  // Warmup end: forgets the response statistics gathered so far, so they
+  // cover the measured interval only; the windows keep running.
+  void reset_response_stats();
 
   // Rolls the per-window response aggregate (used by the timeline).
   [[nodiscard]] double take_window_mean_response() noexcept;
@@ -61,11 +65,9 @@ class MetricsCollector {
   // starts a new window.  All-zero when disabled or the window was empty.
   [[nodiscard]] PeriodWindowStats take_period_window() noexcept;
 
-  // Response distribution with the same coverage as response()/p95(): every
-  // job passed to on_job_completed().  Exactly mergeable across
-  // replications, unlike the P² estimators behind p95()/p99().  (The
-  // simulation loop keeps its own post-warmup histogram for
-  // SimResult::response_hist when a warmup is configured.)
+  // Response distribution with the same coverage as response()/p95().
+  // Exactly mergeable across replications, unlike the P² estimators behind
+  // p95()/p99().
   [[nodiscard]] const LogHistogram& response_histogram() const noexcept {
     return response_hist_;
   }
