@@ -245,9 +245,10 @@ fig16_smoke() {
 }
 
 # ThreadSanitizer lane for the sharded simulation core: builds with
-# GC_TSAN=ON and drives the parallel barrier loop two ways — the
-# shard-determinism property suite (K up to 8 worker threads) and the fig8
-# trace replay at K=4.  The full test suite is not repeated under TSan: it
+# GC_TSAN=ON and drives the parallel barrier loop three ways — the
+# shard-determinism property suite (K up to 8 worker threads), the
+# recovery suite's warm/cold-restart runs at K=2, and the fig8 trace
+# replay at K=4.  The full test suite is not repeated under TSan: it
 # is single-threaded, the ASan/UBSan lane already covers it, and TSan's
 # ~10x slowdown would dominate CI for zero additional thread coverage.
 tsan_lane() {
@@ -257,10 +258,10 @@ tsan_lane() {
         -DGC_BUILD_EXAMPLES=OFF -DGC_BUILD_TOOLS=OFF >/dev/null
   echo "==> [tsan] build"
   cmake --build "${dir}" -j "${JOBS}" \
-        --target test_sharded_determinism fig8_trace_replay
-  echo "==> [tsan] sharded determinism suite"
+        --target test_sharded_determinism test_recovery fig8_trace_replay
+  echo "==> [tsan] sharded determinism and recovery suites"
   (cd "${dir}" && ctest --output-on-failure --timeout 600 --no-tests=error \
-       -R 'ShardedDeterminism')
+       -R 'ShardedDeterminism|Recovery')
   echo "==> [tsan] fig8 replay at K=4"
   "${dir}/bench/fig8_trace_replay" --shards=4 >/dev/null
 }

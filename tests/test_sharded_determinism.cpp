@@ -27,6 +27,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -263,6 +264,12 @@ TEST(ShardedDeterminism, DegradedRunIsShardCountInvariant) {
     EXPECT_EQ(base.sum, other.sum) << "checksum diverged at K=" << k;
     EXPECT_EQ(base.audit_jsonl, other.audit_jsonl) << "audit diverged at K=" << k;
     EXPECT_EQ(base.ts_csv, other.ts_csv) << "timeseries diverged at K=" << k;
+    // The response histogram too, its exact sum (the Prometheus _sum line)
+    // included.
+    EXPECT_EQ(base.result.response_hist, other.result.response_hist) << "K=" << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(base.result.response_hist.sum()),
+              std::bit_cast<std::uint64_t>(other.result.response_hist.sum()))
+        << "histogram sum diverged at K=" << k;
   }
 }
 
@@ -427,6 +434,46 @@ TEST(ShardedDeterminism, RejectsHeterogeneousGroups) {
   EXPECT_DEATH((void)run_sharded_simulation(trace, job_size, 1, cluster,
                                             *controller, sim, {}),
                "sequential-only");
+}
+
+// A scripted fault on a server outside the fleet is rejected with the
+// same typed error by both engines, whatever the shard count.
+TEST(ShardedDeterminism, RejectsScriptedFaultBeyondFleetLikeSequential) {
+  ClusterConfig config;
+  config.max_servers = 8;
+  config.mu_max = 10.0;
+  config.t_ref_s = 0.5;
+  const Provisioner provisioner(config);
+  ClusterOptions cluster;
+  cluster.num_servers = config.max_servers;
+  cluster.initial_active = config.max_servers;
+  SimulationOptions sim;
+  sim.t_ref_s = config.t_ref_s;
+  sim.faults.script = {{10.0, 99, 5.0}};
+
+  std::string sequential_error;
+  try {
+    const auto controller = make_policy(PolicyKind::kCombinedDcp, &provisioner, {});
+    Workload workload = Workload::poisson_exponential(20.0, config.mu_max, 100.0, 3);
+    (void)run_simulation(workload, cluster, *controller, sim);
+  } catch (const std::invalid_argument& e) {
+    sequential_error = e.what();
+  }
+  EXPECT_NE(sequential_error.find("server 99 of 8"), std::string::npos);
+
+  const Trace trace = Trace::from_profile(ConstantRate(20.0), 100.0, /*seed=*/3);
+  for (const unsigned k : {1u, 2u}) {
+    const auto controller = make_policy(PolicyKind::kCombinedDcp, &provisioner, {});
+    ShardedOptions sharded;
+    sharded.num_shards = k;
+    try {
+      (void)run_sharded_simulation(trace, Distribution::exponential(config.mu_max), 3,
+                                   cluster, *controller, sim, sharded);
+      ADD_FAILURE() << "no error at K=" << k;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), sequential_error) << "K=" << k;
+    }
+  }
 }
 
 // The event accounting closes: every trace arrival is counted exactly once

@@ -1,11 +1,19 @@
 // Validates the discrete-event simulator against closed-form queueing
-// results — the foundation the whole evaluation rests on (DESIGN.md §2).
+// results — the foundation the whole evaluation rests on (DESIGN.md §2) —
+// and the two simulation engines against each other.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "queueing/mg1.h"
 #include "queueing/mm1.h"
 #include "queueing/mmc.h"
+#include "sim/sharded.h"
 #include "sim/simulation.h"
+#include "stats/accumulators.h"
+#include "stats/batch_means.h"
+#include "workload/rate_profile.h"
+#include "workload/trace.h"
 #include "workload/workload.h"
 
 namespace gc {
@@ -14,9 +22,10 @@ namespace {
 // Pins the cluster at a fixed operating point (no power management).
 class StaticController final : public Controller {
  public:
-  StaticController(unsigned servers, double speed) : servers_(servers), speed_(speed) {}
-  [[nodiscard]] double short_period_s() const override { return 1e7; }
-  [[nodiscard]] double long_period_s() const override { return 1e7; }
+  StaticController(unsigned servers, double speed, double period_s = 1e7)
+      : servers_(servers), speed_(speed), period_s_(period_s) {}
+  [[nodiscard]] double short_period_s() const override { return period_s_; }
+  [[nodiscard]] double long_period_s() const override { return period_s_; }
   [[nodiscard]] ControlAction on_short_tick(const ControlContext&) override { return {}; }
   [[nodiscard]] ControlAction on_long_tick(const ControlContext&) override {
     ControlAction action;
@@ -29,6 +38,7 @@ class StaticController final : public Controller {
  private:
   unsigned servers_;
   double speed_;
+  double period_s_;
 };
 
 ClusterOptions single_server_options() {
@@ -134,6 +144,44 @@ TEST(SimValidation, RandomDispatchMatchesSplitMm1) {
   StaticController controller(4, 1.0);
   const SimResult result = run_simulation(workload, options, controller, long_run());
   EXPECT_NEAR(result.mean_response_s, mm1::mean_response_time(6.0, 10.0), 0.02);
+}
+
+// Cross-engine oracle.  On a static fleet (fixed target and speed, no
+// faults) sequential round-robin and the sharded engine both send arrival
+// i to serving server i mod m, so over one arrival trace they differ only
+// in their job-size streams: mean response and energy must agree within
+// the 99% replication CI of the paired differences.
+TEST(SimValidation, SequentialRoundRobinAgreesWithShardedEngine) {
+  const double lambda = 48.0, mu = 10.0, horizon_s = 1000.0;
+  const unsigned servers = 8;
+  ClusterOptions cluster;
+  cluster.num_servers = servers;
+  cluster.initial_active = servers;
+  cluster.dispatch = DispatchPolicy::kRoundRobin;
+  SimulationOptions options = long_run(/*warmup=*/100.0);
+  options.hard_stop_s = horizon_s;
+  const Distribution job_size = Distribution::exponential(mu);
+  constexpr std::size_t kReplications = 5;
+  MeanVarAccumulator response_diff, energy_diff;
+  for (std::size_t r = 0; r < kReplications; ++r) {
+    const std::uint64_t seed = 200 + r;
+    const Trace trace = Trace::from_profile(ConstantRate(lambda), horizon_s, seed);
+    Workload workload = Workload::trace_replay(trace, job_size, seed);
+    StaticController sequential_controller(servers, 1.0, /*period_s=*/10.0);
+    const SimResult sequential =
+        run_simulation(workload, cluster, sequential_controller, options);
+    StaticController sharded_controller(servers, 1.0, /*period_s=*/10.0);
+    const SimResult sharded = run_sharded_simulation(trace, job_size, seed, cluster,
+                                                     sharded_controller, options, {});
+    ASSERT_GT(sharded.completed_jobs, 40000u);
+    response_diff.add(sequential.mean_response_s - sharded.mean_response_s);
+    energy_diff.add(sequential.energy.total_j() - sharded.energy.total_j());
+  }
+  const double t = t_quantile(0.99, kReplications - 1);
+  EXPECT_LE(std::abs(response_diff.mean()), t * response_diff.sem());
+  EXPECT_LE(std::abs(energy_diff.mean()), t * energy_diff.sem());
+  // Not vacuous: the engines drew different job sizes.
+  EXPECT_GT(response_diff.stddev(), 0.0);
 }
 
 TEST(SimValidation, BusyEnergyMatchesUtilization) {
