@@ -183,11 +183,6 @@ void Cluster::reconcile_range(double now, std::uint32_t begin, std::uint32_t end
   }
 }
 
-void Cluster::set_all_speeds(double now, double speed) {
-  GC_CHECK(speed > 0.0 && speed <= 1.0, "set_all_speeds: speed out of (0,1]");
-  set_speed(now, speed);
-}
-
 bool Cluster::place(double now, const Job& job) {
   const long target = dispatcher_.pick(now, servers(), serving());
   if (target >= 0) enqueue(now, static_cast<std::uint32_t>(target), job);

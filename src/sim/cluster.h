@@ -69,7 +69,7 @@ class Cluster : private ServerPool {
 
   // -- control plane --------------------------------------------------------
   void set_active_target(double now, unsigned target);
-  void set_all_speeds(double now, double speed);
+  void set_all_speeds(double now, double speed) { set_speed(now, speed); }
 
   // Group-level control (heterogeneous clusters).  Groups are indexed in
   // ClusterOptions::groups order; a homogeneous cluster is group 0.

@@ -9,8 +9,8 @@
 // sequence:
 //
 //   * pick(now, servers, serving) — the hot path.  `serving` is the
-//     cluster's incrementally-maintained index of serving() servers in
-//     ascending order (sim/cluster.h), so round-robin and random pick in
+//     server pool's list of serving() servers in ascending order
+//     (sim/server_pool.h), so round-robin and random pick in
 //     O(1) and JSQ/least-work scan only the serving subset instead of all
 //     M servers.
 //   * pick(now, servers) — the retained reference implementation: rebuilds

@@ -63,8 +63,9 @@ double FaultInjector::sample_ttr(std::uint32_t server) {
 
 void FaultInjector::schedule_failure(double now, std::uint32_t server, EventQueue& queue) {
   GC_DCHECK(options_.mtbf_s > 0.0, "background failure without a background process");
-  const double ttf = -options_.mtbf_s * std::log(server_rngs_[server].uniform01_open_left());
-  queue.schedule(now + ttf, EventType::kServerFail, server);
+  const double ttf_s =
+      -options_.mtbf_s * std::log(server_rngs_[server].uniform01_open_left());
+  queue.schedule(now + ttf_s, EventType::kServerFail, server);
   background_pending_[server] = true;
 }
 

@@ -8,19 +8,19 @@
 //   {BOOTING, ON, SHUTTING_DOWN} --fail--> FAILED --finish_repair--> OFF
 //
 // `fail` is a fail-stop crash (fault injection, sim/fault_injector.h): any
-// in-flight and queued jobs are returned to the caller (the Cluster
+// in-flight and queued jobs are returned to the caller (the owning engine
 // re-dispatches or drops them) and the server draws off power until the
 // repair completes.
 //
 // Work accounting: a job of size w runs at `speed` work-seconds per second,
 // so it completes after remaining/speed seconds *at constant speed*.  When
 // the speed changes mid-service, `sync_progress` first banks the work done
-// at the old speed; the cluster then reschedules the departure event from
+// at the old speed; the pool then reschedules the departure event from
 // the new `completion_eta`.
 //
-// The server never touches the event queue itself — the Cluster owns event
-// scheduling — but it remembers the EventId of its pending departure so the
-// cluster can cancel/reschedule it.
+// The server never touches the event queue itself — its ServerPool
+// (sim/server_pool.h) owns event scheduling — but it remembers the EventId
+// of its pending departure so the pool can cancel/reschedule it.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,7 @@ class Server {
   // with in-flight progress synced to `now`.
   [[nodiscard]] double outstanding_work(double now) const;
 
-  // -- power state transitions (driven by the Cluster) ---------------------
+  // -- power state transitions (driven by the ServerPool) ---------------------
   void start_boot(double now);
   void finish_boot(double now);
   void set_draining(double now, bool draining);
@@ -73,7 +73,7 @@ class Server {
 
   // Fail-stop crash.  Allowed from any powered state (BOOTING, ON —
   // draining or not — and SHUTTING_DOWN); returns the in-flight job and
-  // queue contents (in service order) so the cluster can fail them over.
+  // queue contents (in service order) so the owner can fail them over.
   [[nodiscard]] std::vector<Job> fail(double now);
   // FAILED -> OFF; the server can be booted again afterwards.
   void finish_repair(double now);
@@ -92,7 +92,7 @@ class Server {
   [[nodiscard]] Completion complete_current(double now);
 
   // Changes speed; returns the new ETA of the in-flight job if any (the
-  // cluster must reschedule the departure event).
+  // pool must reschedule the departure event).
   [[nodiscard]] std::optional<double> set_speed(double now, double new_speed);
 
   // ETA of the in-flight job at the current speed.
@@ -105,7 +105,7 @@ class Server {
     return meter_.instantaneous_power();
   }
 
-  // Pending event bookkeeping (owned by the Cluster): the in-flight
+  // Pending event bookkeeping (owned by the ServerPool): the in-flight
   // departure, and the boot/shutdown/boot-timeout completion, so a crash
   // can cancel them.
   EventId pending_departure = kInvalidEventId;

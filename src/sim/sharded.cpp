@@ -63,8 +63,9 @@ constexpr std::size_t kNumEventTypes =
 // how the fleet is sharded.  The control-plane streams are drawn by the
 // shared control loop (sim/control_loop.h) on the orchestrator thread; the
 // fault seed (FaultOptions::seed_or) and admission stream are the
-// sequential engine's, and the admission salt is sharded-only (the sequential engine sheds from one
-// global stream, which is inherently order-dependent).
+// sequential engine's, and the admission salt is sharded-only (the
+// sequential engine sheds from one global stream, which is inherently
+// order-dependent).
 constexpr std::uint64_t kAdmitSeedSalt = 0xad317755ULL;          // sharded-only
 constexpr std::uint64_t kAdmissionRngStream = 7;                 // = run_simulation
 
@@ -103,7 +104,8 @@ struct Shard {
       : index(k), stride(num_shards), power_model(cluster.power),
         pool(&queue, cluster.transition, cluster.initial_speed) {
     // The lazy integrals advance before every power-state change.
-    pool.set_before_transition([this](double now, std::uint32_t li) { sync_stats(now, li); });
+    pool.set_before_transition(
+        [this](double now, std::uint32_t li) { sync_stats(now, li); });
   }
 
   // -- static configuration ------------------------------------------------
@@ -291,8 +293,9 @@ struct Shard {
       case EventType::kBootTimeout:
         // Orphans are lost: the frozen assignment has no one to hand them
         // to (DESIGN.md §11.1).
-        (void)pool.handle_fault_event(now, event.type, li,
-                                  [&](std::vector<Job>& orphans) { lost += orphans.size(); });
+        (void)pool.handle_fault_event(now, event.type, li, [&](std::vector<Job>& orphans) {
+          lost += orphans.size();
+        });
         // A repaired server below the target boots again at once.
         if (event.type == EventType::kServerRepair && global(li) < target) {
           pool.boot(now, li);
@@ -395,8 +398,7 @@ struct ShardedFleet final : ControlLoop::Fleet {
   // Arrivals landing in a window with an empty global serving set are
   // dropped at the orchestrator (no per-server stream exists to charge).
   std::uint64_t orphaned_arrivals = 0;
-  // The last applied speed command and its time average.
-  double commanded_speed = 1.0;
+  // Time average of the applied speed commands.
   TimeWeightedAccumulator speed_avg{0.0};
   // Global serving count m of the current frozen window.
   std::size_t window_m = 0;
@@ -540,12 +542,14 @@ struct ShardedFleet final : ControlLoop::Fleet {
     });
     return watts;
   }
-  double speed() const override { return commanded_speed; }
+  // The last applied speed command: every pool holds it.
+  double speed() const override { return shards.front()->pool.current_speed(); }
   double wear_mean() const override {
     if (!wear->enabled()) return 0.0;
     double total = 0.0;
     for_each_server([&](const Shard& s, std::uint32_t li, std::uint32_t) {
-      total += wear->wear_fraction(s.pool.server_boots()[li], s.pool.server_shutdowns()[li]);
+      total +=
+          wear->wear_fraction(s.pool.server_boots()[li], s.pool.server_shutdowns()[li]);
     });
     return total / static_cast<double>(num_servers);
   }
@@ -589,8 +593,7 @@ struct ShardedFleet final : ControlLoop::Fleet {
     parallel([&](std::size_t k) { shards[k]->reconcile(now, clamped); });
   }
   void apply_speed(double now, double speed) override {
-    speed_avg.advance(now, commanded_speed);
-    commanded_speed = speed;
+    speed_avg.advance(now, this->speed());
     parallel([&](std::size_t k) { shards[k]->pool.set_speed(now, speed); });
   }
   void schedule(double at, EventType type, std::uint32_t subject) override {
@@ -644,7 +647,6 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   fleet.num_servers = num_servers;
   fleet.wear = &wear;
   fleet.orchestrator = &orchestrator;
-  fleet.commanded_speed = cluster.initial_speed;
   std::vector<std::unique_ptr<Shard>>& shards = fleet.shards;
   shards.reserve(num_shards);
   {
@@ -757,7 +759,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     warm_totals = fleet.totals();
     warm_losses = fleet.loss_totals();
     control.end_warmup();
-    fleet.speed_avg.advance(t, fleet.commanded_speed);
+    fleet.speed_avg.advance(t, fleet.speed());
     fleet.speed_avg = TimeWeightedAccumulator(t);
   };
 
@@ -775,7 +777,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
     point.serving = state.serving;
     point.powered = state.powered;
     point.available = state.available;
-    point.speed = fleet.commanded_speed;
+    point.speed = fleet.speed();
     point.power_watts = fleet.power_w();
     point.jobs_in_system = static_cast<double>(state.jobs);
     point.window_mean_response_s = fleet.take_record_window();
@@ -847,7 +849,7 @@ SimResult run_sharded_simulation(const Trace& trace, const Distribution& job_siz
   // The workload drained before the warmup ended: there is no measured
   // interval at all.  Report an empty (not a warmup-polluted) result.
   if (!measuring) begin_measuring(end_time);
-  fleet.speed_avg.advance(end_time, fleet.commanded_speed);
+  fleet.speed_avg.advance(end_time, fleet.speed());
   const double sim_time = end_time - measure_start;
 
   // -- canonical fold into SimResult ---------------------------------------

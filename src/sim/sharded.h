@@ -2,19 +2,19 @@
 // (DESIGN.md §11).
 //
 // The cluster is partitioned into K interleaved shards — server gi belongs
-// to shard gi mod K — each owning its own EventQueue, Server vector,
-// per-server RNG streams, serving-set bitmap and per-server metric
-// accumulators, executed on a fixed thread pool.  Interleaving spreads the
-// serving prefix [0, target) evenly over the shards even when most of the
-// fleet is parked, and fleet-wide commands cost O(servers that change): an
-// unchanged speed is a no-op and a new target visits only the servers
-// between the old and the new one.  Synchronization is
-// conservative: the DCP structure gives a natural lookahead window — no
-// cross-shard interaction (provisioning commands, telemetry aggregation,
-// admission updates) happens between control-period barriers — so each
-// shard advances independently to the next barrier and the orchestrator
-// thread runs the control plane between windows — the same control-loop
-// driver as run_simulation (sim/control_loop.h: controller, channel,
+// to shard gi mod K — each owning its own EventQueue, ServerPool
+// (sim/server_pool.h, the lifecycle core Cluster also runs on), fault
+// injector, RNG streams and metric accumulators, executed on a fixed
+// thread pool.  Interleaving spreads the serving prefix [0, target) evenly
+// over the shards even when most of the fleet is parked, and fleet-wide
+// commands cost O(servers that change): an unchanged speed is a no-op and a
+// new target visits only the servers between the old and the new one.
+// Synchronization is conservative: the DCP structure gives a natural
+// lookahead window — no cross-shard interaction (provisioning commands,
+// telemetry aggregation, admission updates) happens between control-period
+// barriers — so each shard advances independently to the next barrier and
+// the orchestrator thread runs the control plane between windows — the
+// same control-loop driver as run_simulation (sim/control_loop.h: controller, channel,
 // actuator, outages and safe mode, admission updates, audit, time series
 // and trace records).
 //
@@ -26,13 +26,14 @@
 // property test pins checksums at K ∈ {1, 2, 4, 7} against each other and
 // against committed goldens.
 //
-// This is a distinct simulation model from run_simulation(), not a parallel
-// re-implementation of it: the sequential loop's global JSQ dispatcher (one
-// shared decision per arrival) and shared fault/boot-hang streams are
-// inherently order-dependent across the whole fleet and cannot be sharded
-// bit-exactly (see DESIGN.md §11.1 for the argument).  The sharded engine
-// therefore uses trace-based round-robin dispatch over the frozen serving
-// set, per-server fault streams, and histogram-derived tail quantiles.
+// Both engines run the same server lifecycle, fault process and control
+// loop; they differ only where the model must (DESIGN.md §11.1): the
+// sequential loop's global JSQ dispatcher (one shared decision per
+// arrival), crash re-dispatch and shared boot-hang stream are inherently
+// order-dependent across the whole fleet and cannot be sharded bit-exactly.
+// The sharded engine therefore uses trace-based round-robin dispatch over
+// the frozen serving set, loses a crash's orphans, draws boot hangs from
+// per-server fault streams, and reports histogram-derived tail quantiles.
 // Anything unsupported in this model is rejected loudly (GC_CHECK), never
 // silently approximated: heterogeneous groups are sequential-only for now.
 #pragma once

@@ -111,7 +111,9 @@ SimResult run_simulation(Workload& workload, const ClusterOptions& cluster_optio
     Rng root(options.faults.seed_or(cluster_options.dispatch_seed), /*stream=*/0);
     std::vector<Rng> streams;
     streams.reserve(cluster.num_servers());
-    for (unsigned i = 0; i < cluster.num_servers(); ++i) streams.push_back(root.split(i + 1));
+    for (unsigned i = 0; i < cluster.num_servers(); ++i) {
+      streams.push_back(root.split(i + 1));
+    }
     injector.emplace(options.faults, cluster.num_servers(), std::move(streams),
                      root.split(0xb007));
     cluster.set_fault_injector(&*injector);

@@ -58,7 +58,8 @@ struct FaultHarness {
 
   FaultHarness(const ClusterOptions& options, const FaultOptions& faults,
                std::uint64_t seed)
-      : cluster(options, &queue), injector(make_injector(faults, options.num_servers, seed)) {
+      : cluster(options, &queue),
+        injector(make_injector(faults, options.num_servers, seed)) {
     cluster.set_fault_injector(&injector);
     injector.arm(queue);
   }

@@ -50,8 +50,8 @@ struct PoolUnderTest {
   }
 
   void fault_event(double now, EventType type, std::uint32_t i) {
-    (void)pool.handle_fault_event(now, type, i,
-                                  [&](std::vector<Job>& orphans) { lost += orphans.size(); });
+    (void)pool.handle_fault_event(
+        now, type, i, [&](std::vector<Job>& orphans) { lost += orphans.size(); });
   }
 };
 
@@ -128,7 +128,8 @@ TEST_P(ServerPoolPropertyTest, RandomWalkKeepsInvariants) {
         ++t.enqueued;
       }
     } else if (dice < 0.36) {
-      const long i = pick(rng, pool, [](const Server& s) { return s.state() == PowerState::kOff; });
+      const long i =
+          pick(rng, pool, [](const Server& s) { return s.state() == PowerState::kOff; });
       if (i >= 0) pool.boot(now, static_cast<std::uint32_t>(i));
     } else if (dice < 0.41) {
       const long i = pick(rng, pool, [](const Server& s) { return s.serving(); });
@@ -160,7 +161,9 @@ TEST_P(ServerPoolPropertyTest, RandomWalkKeepsInvariants) {
           ++t.completed;
           break;
         }
-        case EventType::kBootComplete: pool.handle_boot_complete(now, event->subject); break;
+        case EventType::kBootComplete:
+          pool.handle_boot_complete(now, event->subject);
+          break;
         case EventType::kShutdownComplete:
           pool.handle_shutdown_complete(now, event->subject);
           break;
