@@ -63,7 +63,7 @@ class Server {
   // with in-flight progress synced to `now`.
   [[nodiscard]] double outstanding_work(double now) const;
 
-  // -- power state transitions (driven by the ServerPool) ---------------------
+  // -- power state transitions (driven by the ServerPool) -------------------
   void start_boot(double now);
   void finish_boot(double now);
   void set_draining(double now, bool draining);

@@ -14,9 +14,9 @@
 // telemetry aggregation, admission updates) happens between control-period
 // barriers — so each shard advances independently to the next barrier and
 // the orchestrator thread runs the control plane between windows — the
-// same control-loop driver as run_simulation (sim/control_loop.h: controller, channel,
-// actuator, outages and safe mode, admission updates, audit, time series
-// and trace records).
+// same control-loop driver as run_simulation (sim/control_loop.h:
+// controller, channel, actuator, outages and safe mode, admission updates,
+// audit, time series and trace records).
 //
 // Determinism contract: the output is a pure function of the inputs and
 // *independent of K* — every RNG stream is derived per global server index,

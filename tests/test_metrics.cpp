@@ -36,6 +36,27 @@ TEST(MetricsCollector, WindowMeanResetsOnTake) {
   EXPECT_EQ(metrics.completed(), 2u);
 }
 
+// The warmup reset forgets the response statistics, not the open windows.
+TEST(MetricsCollector, ResponseStatsResetKeepsTheWindows) {
+  MetricsCollector metrics(1.0);
+  metrics.enable_period_window();
+  metrics.on_job_completed(2.0, make_job(0.0));
+  metrics.reset_response_stats();
+  EXPECT_EQ(metrics.completed(), 0u);
+  EXPECT_EQ(metrics.response_histogram().count(), 0u);
+  EXPECT_DOUBLE_EQ(metrics.job_violation_ratio(), 0.0);
+  metrics.on_job_completed(3.0, make_job(2.5));
+  EXPECT_EQ(metrics.completed(), 1u);
+  EXPECT_DOUBLE_EQ(metrics.response().mean(), 0.5);
+  EXPECT_DOUBLE_EQ(metrics.response().max(), 0.5);
+  EXPECT_EQ(metrics.response_histogram().count(), 1u);
+  EXPECT_DOUBLE_EQ(metrics.job_violation_ratio(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics.take_window_mean_response(), 1.25);
+  const PeriodWindowStats window = metrics.take_period_window();
+  EXPECT_EQ(window.completed, 2u);
+  EXPECT_DOUBLE_EQ(window.violation_fraction, 0.5);
+}
+
 TEST(MetricsCollector, PercentilesOrdered) {
   MetricsCollector metrics(10.0);
   for (int i = 1; i <= 1000; ++i) {
