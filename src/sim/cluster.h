@@ -24,8 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.h"
-#include "power/energy_meter.h"
 #include "power/power_model.h"
 #include "sim/dispatcher.h"
 #include "sim/event_queue.h"
@@ -34,8 +32,6 @@
 #include "sim/server_pool.h"
 
 namespace gc {
-
-class FaultInjector;
 
 // A homogeneous slice of a (possibly heterogeneous) cluster.
 struct ServerGroupSpec {
